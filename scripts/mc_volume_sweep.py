@@ -2,7 +2,8 @@
 """Monte Carlo volume sweep: estimated vs exact slab volumes.
 
 Runs the deterministic estimator over every unit-cube slab up to --d-max
-and every dilated slab up to --dilated-d-max / --n-max, for each seed, and
+and every dilated slab up to --dilated-d-max / --n-max (the sweep of the
+Monte Carlo verify suite, with its slice labels), for each seed, and
 prints one CSV row per (slice, seed) with the exact value, the estimate,
 the outward-rounded standard error, and whether the estimate sits inside
 the 4-sigma band.  All numbers are exact rational strings.
@@ -14,24 +15,9 @@ Example:
 import argparse
 import sys
 
-from splinecomb.descent import descent_spline
-from splinecomb.eulerian import eulerian_spline
-from splinecomb.geometry import SliceSpec, mc_volume
+from splinecomb.geometry import mc_volume
 from splinecomb.numcore import format_rational
-
-
-def sweep(d_max, dilated_d_max, n_max):
-    for d in range(1, d_max + 1):
-        for k in range(1, d + 1):
-            yield f"unit:{d}:{k}", SliceSpec.cube_slice(d, k), eulerian_spline(d, k)
-    for d in range(1, dilated_d_max + 1):
-        for n in range(1, n_max + 1):
-            for k in range(d + 1):
-                yield (
-                    f"dilated:{d}:{n}:{k}",
-                    SliceSpec.dilated_slice(d, n, k),
-                    descent_spline(d, n, k),
-                )
+from splinecomb.verify import VerifyConfig, mc_cases
 
 
 def main(argv=None) -> int:
@@ -47,7 +33,8 @@ def main(argv=None) -> int:
 
     print("slice,seed,exact,estimate,standard_error,within_4_sigma")
     excursions = 0
-    for label, spec, exact in sweep(args.d_max, args.dilated_d_max, args.n_max):
+    config = VerifyConfig(d_max=args.d_max, n_max=args.n_max, mc_dilated_d_max=args.dilated_d_max)
+    for label, spec, exact in mc_cases(config):
         for seed in seeds:
             est = mc_volume(spec, args.samples, seed)
             inside = abs(est.estimate - exact) <= 4 * est.standard_error

@@ -41,12 +41,10 @@ from .eulerian import (
 )
 from .geometry import SliceSpec, VolumeEstimate, mc_volume, minkowski_poly, mixed_volume
 from .numcore import (
-    Natural,
     Rational,
     binomial,
     factorial,
     format_rational,
-    int_pow,
     parse_rational,
     truncated_pow,
 )

@@ -6,7 +6,8 @@ is emitted as a canonical "p/q" or integer string, never floating point,
 and identical argument vectors produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure (report still emitted in
-full), 2 usage error or enumeration budget violation.
+full), 2 usage error, argument outside the library's domain, or
+enumeration budget violation.
 """
 
 from __future__ import annotations
@@ -14,106 +15,232 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
 
-from . import descent, eulerian, geometry, splinecore
-from .errors import TooLarge
+from . import descent, eulerian, geometry, splinecore, verify
+from .errors import SplinecombError
 from .numcore import factorial, format_rational, parse_rational
-from .polyring import Polynomial
-from .verify import (
-    VerifyConfig,
-    VerifyReport,
-    verify_all,
-    verify_descent,
-    verify_eulerian,
-)
+from .verify import VerifyConfig, VerifyReport
 
 
-def _common_flags() -> argparse.ArgumentParser:
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _required(flag: str, type=int) -> tuple[str, dict]:
+    return flag, {"type": type, "required": True}
+
+
+def _route(routes: dict) -> tuple[str, dict]:
+    """--route over a family's route table; the reference route is the default."""
+    return "--route", {"choices": tuple(routes), "default": next(iter(routes))}
+
+
+_D = _required("--d", _positive_int)
+_N = _required("--n", _positive_int)
+_D_MAX = ("--d-max", {"type": _positive_int, "default": 6})
+_N_MAX = ("--n-max", {"type": _positive_int, "default": 3})
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    """One leaf command: its arguments, what it computes, how it prints.
+
+    render maps the result to (csv rows, json fields); the json payload is
+    the echoed arguments followed by those fields.  A leaf without render
+    emits verify reports, whose outcome sets the exit code.
+    """
+
+    help: str
+    arguments: tuple[tuple[str, dict], ...]
+    compute: Callable
+    render: Callable | None = None
+    echo: tuple[str, ...] = ()
+
+
+def _scalar(value) -> tuple[list, dict]:
+    text = format_rational(value)
+    return [(text,)], {"value": text}
+
+
+def _coefficients(poly) -> tuple[list, dict]:
+    coeffs = poly.coefficient_strings()
+    return [tuple(coeffs)], {"coefficients": coeffs}
+
+
+def _eulerian_row(row: eulerian.EulerianRow) -> tuple[list, dict]:
+    rows = [(k, row.value(k)) for k in range(1, row.d + 1)]
+    return rows, {"values": [str(v) for v in row.values]}
+
+
+def _refined(triangle: eulerian.RefinedTriangle) -> tuple[list, dict]:
+    d = triangle.d
+    rows = [(k, j, triangle.value(k, j)) for k in range(d + 1) for j in range(d + 1)]
+    return rows, {"values": [[str(v) for v in row] for row in triangle.values]}
+
+
+def _descent_table(table: descent.DescentTable) -> tuple[list, dict]:
+    rows = [(k, table.values[k]) for k in range(table.d + 1)]
+    conservation = sum(table.values) == table.n**table.d * factorial(table.d)
+    log_concave = all(m >= 0 for m in descent.log_concavity_verdict(table))
+    checks = {"conservation": conservation, "log_concave": log_concave}
+    return rows, {"values": [str(v) for v in table.values], "checks": checks}
+
+
+def _volume(est: geometry.VolumeEstimate) -> tuple[list, dict]:
+    fields = [
+        ("estimate", format_rational(est.estimate)),
+        ("standard_error", format_rational(est.standard_error)),
+        ("hits", est.hits),
+        ("samples", est.samples),
+        ("seed", est.seed),
+    ]
+    return fields, dict(fields)
+
+
+_GROUPS = {
+    "bspline": "exact cardinal B-spline operations",
+    "eulerian": "Eulerian numbers and refinements",
+    "descent": "descent tables of indexed permutations",
+    "geometry": "volume experiments",
+}
+
+
+def _leaves() -> dict[str, _Leaf]:
+    """The leaf commands by path.  Built with the parser, so argument types
+    and route tables are looked up when the CLI runs, not at import."""
+    return {
+        "bspline eval": _Leaf(
+            "evaluate the order-d spline",
+            (_D, _required("--x", parse_rational), _route(splinecore.EVAL_ROUTES)),
+            lambda a: splinecore.EVAL_ROUTES[a.route](a.d, a.x),
+            _scalar,
+            ("d", "x", "route"),
+        ),
+        "bspline piece": _Leaf(
+            "polynomial piece on [j, j+1)",
+            (_D, _required("--j")),
+            lambda a: splinecore.bspline_piece(a.d, a.j).poly,
+            _coefficients,
+            ("d", "j"),
+        ),
+        "bspline integrate": _Leaf(
+            "exact integral over [a, b]",
+            (_D, _required("--a", parse_rational), _required("--b", parse_rational)),
+            lambda a: splinecore.bspline_integrate(a.d, a.a, a.b),
+            _scalar,
+            ("d", "a", "b"),
+        ),
+        "eulerian row": _Leaf(
+            "row of Eulerian numbers",
+            (_D, _route(eulerian.ROW_ROUTES)),
+            lambda a: eulerian.ROW_ROUTES[a.route](a.d),
+            _eulerian_row,
+            ("d", "route"),
+        ),
+        "eulerian refined": _Leaf(
+            "refined triangle for S_{d+1}",
+            (_D, _route(eulerian.REFINED_ROUTES)),
+            lambda a: eulerian.refined_triangle(a.d, a.route),
+            _refined,
+            ("d", "route"),
+        ),
+        "eulerian verify": _Leaf(
+            "Eulerian identity suite",
+            (_D_MAX,),
+            lambda a: [verify.verify_eulerian(VerifyConfig(d_max=a.d_max, budget=a.budget))],
+        ),
+        "descent table": _Leaf(
+            "descent histogram for (d, n)",
+            (_D, _N, _route(descent.TABLE_ROUTES)),
+            lambda a: descent.descent_table(a.d, a.n, a.route, budget=a.budget),
+            _descent_table,
+            ("d", "n", "route"),
+        ),
+        "descent poly": _Leaf(
+            "descent generating polynomial",
+            (_D, _N),
+            lambda a: descent.descent_table(a.d, a.n, "spline").polynomial,
+            _coefficients,
+            ("d", "n"),
+        ),
+        "descent verify": _Leaf(
+            "descent identity suite",
+            (_D_MAX, _N_MAX),
+            lambda a: [
+                verify.verify_descent(VerifyConfig(d_max=a.d_max, n_max=a.n_max, budget=a.budget))
+            ],
+        ),
+        "geometry mc": _Leaf(
+            "Monte Carlo slab volume",
+            (
+                _D,
+                _required("--scale"),
+                _required("--lower", parse_rational),
+                _required("--upper", parse_rational),
+                _required("--samples"),
+                _required("--seed"),
+            ),
+            lambda a: geometry.mc_volume(
+                geometry.SliceSpec(d=a.d, scale=a.scale, lower=a.lower, upper=a.upper), a.samples, a.seed
+            ),
+            _volume,
+            ("d", "scale", "lower", "upper"),
+        ),
+        "geometry minkowski": _Leaf(
+            "Minkowski volume polynomial",
+            (_D, _required("--k")),
+            lambda a: geometry.minkowski_poly(a.d, a.k),
+            _coefficients,
+            ("d", "k"),
+        ),
+        "verify": _Leaf(
+            "run verification suites",
+            (
+                ("--all", {"action": "store_true", "required": True, "help": "run every suite"}),
+                _D_MAX,
+                _N_MAX,
+                (
+                    "--samples",
+                    {"type": int, "default": 100_000, "help": "Monte Carlo samples per slice/seed"},
+                ),
+            ),
+            lambda a: verify.verify_all(
+                VerifyConfig(d_max=a.d_max, n_max=a.n_max, budget=a.budget, mc_samples=a.samples)
+            ),
+        ),
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     common.add_argument(
         "--budget",
         type=int,
         default=descent.DEFAULT_ENUMERATION_BUDGET,
-        help="enumeration budget for brute-force routes",
+        help="enumeration budget for the indexed-permutation brute force",
     )
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = argparse.ArgumentParser(prog="splinecomb", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
-
-    bspline = top.add_parser("bspline", help="exact cardinal B-spline operations")
-    bsub = bspline.add_subparsers(dest="subcommand", required=True)
-    p = bsub.add_parser("eval", parents=[common], help="evaluate the order-d spline")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--x", type=parse_rational, required=True)
-    p.add_argument("--route", choices=("explicit", "recurrence"), default="explicit")
-    p.set_defaults(handler=_cmd_bspline_eval)
-    p = bsub.add_parser("piece", parents=[common], help="polynomial piece on [j, j+1)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.set_defaults(handler=_cmd_bspline_piece)
-    p = bsub.add_parser("integrate", parents=[common], help="exact integral over [a, b]")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--a", type=parse_rational, required=True)
-    p.add_argument("--b", type=parse_rational, required=True)
-    p.set_defaults(handler=_cmd_bspline_integrate)
-
-    eul = top.add_parser("eulerian", help="Eulerian numbers and refinements")
-    esub = eul.add_subparsers(dest="subcommand", required=True)
-    p = esub.add_parser("row", parents=[common], help="row of Eulerian numbers")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--route", choices=("spline", "brute"), default="spline")
-    p.set_defaults(handler=_cmd_eulerian_row)
-    p = esub.add_parser("refined", parents=[common], help="refined triangle for S_{d+1}")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--route", choices=("explicit", "lambda", "brute"), default="explicit")
-    p.set_defaults(handler=_cmd_eulerian_refined)
-    p = esub.add_parser("verify", parents=[common], help="Eulerian identity suite")
-    p.add_argument("--d-max", type=int, default=6)
-    p.set_defaults(handler=_cmd_eulerian_verify)
-
-    des = top.add_parser("descent", help="descent tables of indexed permutations")
-    dsub = des.add_subparsers(dest="subcommand", required=True)
-    p = dsub.add_parser("table", parents=[common], help="descent histogram for (d, n)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--route", choices=descent.ROUTES, default="spline")
-    p.set_defaults(handler=_cmd_descent_table)
-    p = dsub.add_parser("poly", parents=[common], help="descent generating polynomial")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_descent_poly)
-    p = dsub.add_parser("verify", parents=[common], help="descent identity suite")
-    p.add_argument("--d-max", type=int, default=6)
-    p.add_argument("--n-max", type=int, default=3)
-    p.set_defaults(handler=_cmd_descent_verify)
-
-    geo = top.add_parser("geometry", help="volume experiments")
-    gsub = geo.add_subparsers(dest="subcommand", required=True)
-    p = gsub.add_parser("mc", parents=[common], help="Monte Carlo slab volume")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--scale", type=int, required=True)
-    p.add_argument("--lower", type=parse_rational, required=True)
-    p.add_argument("--upper", type=parse_rational, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(handler=_cmd_geometry_mc)
-    p = gsub.add_parser("minkowski", parents=[common], help="Minkowski volume polynomial")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_geometry_minkowski)
-
-    p = top.add_parser("verify", parents=[common], help="run verification suites")
-    p.add_argument("--all", action="store_true", required=True, help="run every suite")
-    p.add_argument("--d-max", type=int, default=6)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples per slice/seed")
-    p.set_defaults(handler=_cmd_verify_all)
-
+    groups = {}
+    for path, leaf in _leaves().items():
+        *group, name = path.split()
+        subparsers = top
+        if group:
+            if group[0] not in groups:
+                node = top.add_parser(group[0], help=_GROUPS[group[0]])
+                groups[group[0]] = node.add_subparsers(dest="subcommand", required=True)
+            subparsers = groups[group[0]]
+        p = subparsers.add_parser(name, parents=[common], help=leaf.help)
+        for flag, options in leaf.arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(leaf=leaf)
     return parser
 
 
@@ -124,133 +251,6 @@ def _emit(args, rows: list[tuple], payload: dict) -> None:
     else:
         for row in rows:
             print(",".join(str(cell) for cell in row))
-
-
-def _poly_strings(poly: Polynomial) -> list[str]:
-    return poly.coefficient_strings()
-
-
-def _cmd_bspline_eval(args) -> int:
-    if args.route == "recurrence":
-        value = splinecore.bspline_eval_recurrence(args.d, args.x)
-    else:
-        value = splinecore.bspline_eval_explicit(args.d, args.x)
-    text = format_rational(value)
-    _emit(
-        args,
-        [(text,)],
-        {"d": args.d, "x": format_rational(args.x), "route": args.route, "value": text},
-    )
-    return 0
-
-
-def _cmd_bspline_piece(args) -> int:
-    piece = splinecore.bspline_piece(args.d, args.j)
-    coeffs = _poly_strings(piece.poly)
-    _emit(args, [tuple(coeffs)], {"d": args.d, "j": args.j, "coefficients": coeffs})
-    return 0
-
-
-def _cmd_bspline_integrate(args) -> int:
-    value = splinecore.bspline_integrate(args.d, args.a, args.b)
-    text = format_rational(value)
-    _emit(
-        args,
-        [(text,)],
-        {
-            "d": args.d,
-            "a": format_rational(args.a),
-            "b": format_rational(args.b),
-            "value": text,
-        },
-    )
-    return 0
-
-
-def _cmd_eulerian_row(args) -> int:
-    if args.route == "brute":
-        row = eulerian.eulerian_bruteforce(args.d)
-    else:
-        row = eulerian.eulerian_row_spline(args.d)
-    rows = [(k, row.value(k)) for k in range(1, args.d + 1)]
-    _emit(
-        args,
-        rows,
-        {"d": args.d, "route": args.route, "values": [str(v) for v in row.values]},
-    )
-    return 0
-
-
-def _cmd_eulerian_refined(args) -> int:
-    triangle = eulerian.refined_triangle(args.d, args.route)
-    rows = [(k, j, triangle.value(k, j)) for k in range(args.d + 1) for j in range(args.d + 1)]
-    _emit(
-        args,
-        rows,
-        {
-            "d": args.d,
-            "route": args.route,
-            "values": [[str(v) for v in row] for row in triangle.values],
-        },
-    )
-    return 0
-
-
-def _cmd_descent_table(args) -> int:
-    table = descent.descent_table(args.d, args.n, args.route, budget=args.budget)
-    rows = [(k, table.values[k]) for k in range(args.d + 1)]
-    conservation = sum(table.values) == args.n**args.d * factorial(args.d)
-    log_concave = all(m >= 0 for m in descent.log_concavity_verdict(table))
-    _emit(
-        args,
-        rows,
-        {
-            "d": args.d,
-            "n": args.n,
-            "route": args.route,
-            "values": [str(v) for v in table.values],
-            "checks": {"conservation": conservation, "log_concave": log_concave},
-        },
-    )
-    return 0
-
-
-def _cmd_descent_poly(args) -> int:
-    table = descent.descent_table(args.d, args.n, "spline")
-    coeffs = _poly_strings(table.polynomial)
-    _emit(args, [tuple(coeffs)], {"d": args.d, "n": args.n, "coefficients": coeffs})
-    return 0
-
-
-def _cmd_geometry_mc(args) -> int:
-    spec = geometry.SliceSpec(d=args.d, scale=args.scale, lower=args.lower, upper=args.upper)
-    est = geometry.mc_volume(spec, args.samples, args.seed)
-    fields = [
-        ("estimate", format_rational(est.estimate)),
-        ("standard_error", format_rational(est.standard_error)),
-        ("hits", est.hits),
-        ("samples", est.samples),
-        ("seed", est.seed),
-    ]
-    _emit(
-        args,
-        fields,
-        {
-            "d": args.d,
-            "scale": args.scale,
-            "lower": format_rational(args.lower),
-            "upper": format_rational(args.upper),
-            **dict(fields),
-        },
-    )
-    return 0
-
-
-def _cmd_geometry_minkowski(args) -> int:
-    poly = geometry.minkowski_poly(args.d, args.k)
-    coeffs = _poly_strings(poly)
-    _emit(args, [tuple(coeffs)], {"d": args.d, "k": args.k, "coefficients": coeffs})
-    return 0
 
 
 def _report_rows(reports: list[VerifyReport]) -> list[tuple]:
@@ -287,31 +287,25 @@ def _emit_reports(args, reports: list[VerifyReport]) -> int:
     return 0 if all(rep.ok for rep in reports) else 1
 
 
-def _cmd_eulerian_verify(args) -> int:
-    return _emit_reports(args, [verify_eulerian(VerifyConfig(d_max=args.d_max, budget=args.budget))])
-
-
-def _cmd_descent_verify(args) -> int:
-    config = VerifyConfig(d_max=args.d_max, n_max=args.n_max, budget=args.budget)
-    return _emit_reports(args, [verify_descent(config)])
-
-
-def _cmd_verify_all(args) -> int:
-    config = VerifyConfig(
-        d_max=args.d_max, n_max=args.n_max, budget=args.budget, mc_samples=args.samples
-    )
-    return _emit_reports(args, verify_all(config))
+def _run(args) -> int:
+    leaf = args.leaf
+    result = leaf.compute(args)
+    if leaf.render is None:
+        return _emit_reports(args, result)
+    rows, fields = leaf.render(result)
+    payload = {}
+    for name in leaf.echo:
+        value = getattr(args, name)
+        payload[name] = format_rational(value) if isinstance(value, Fraction) else value
+    _emit(args, rows, {**payload, **fields})
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return _run(args)
+    except (SplinecombError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

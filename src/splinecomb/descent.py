@@ -28,8 +28,6 @@ from .splinecore import bspline_eval_explicit
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
-ROUTES = ("spline", "explicit", "recurrence", "refined", "brute")
-
 
 @dataclass(frozen=True)
 class DescentTable:
@@ -168,32 +166,34 @@ def indexed_bruteforce(d: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET)
     index_vectors = list(product(range(n), repeat=d))
     for perm in permutations(range(1, d + 1)):
         for e in index_vectors:
-            des = 0
-            for i in range(d - 1):
-                ei, ej = e[i], e[i + 1]
-                if ei > ej or (ei == ej and perm[i] > perm[i + 1]):
-                    des += 1
-            if e[d - 1] > 0:
-                des += 1
-            counts[des] += 1
+            counts[_indexed_descents(perm, e)] += 1
     return _make_table(d, n, counts)
+
+
+def _grid(d: int, n: int, entry) -> DescentTable:
+    return _make_table(d, n, (entry(d, n, k) for k in range(d + 1)))
+
+
+# Routes by name, reference route first; a builder takes (d, n, budget).
+# The lambdas look the route functions up when called, so rebinding a
+# module attribute reaches them.
+TABLE_ROUTES = {
+    "spline": lambda d, n, budget: _grid(d, n, descent_spline),
+    "explicit": lambda d, n, budget: _grid(d, n, descent_explicit),
+    "recurrence": lambda d, n, budget: descent_recurrence_table(d, n),
+    "refined": lambda d, n, budget: _grid(d, n, descent_via_refined),
+    "brute": lambda d, n, budget: indexed_bruteforce(d, n, budget=budget),
+}
+ROUTES = tuple(TABLE_ROUTES)
 
 
 def descent_table(
     d: int, n: int, route: str = "spline", budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> DescentTable:
     """Full table for the chosen route."""
-    if route == "spline":
-        return _make_table(d, n, (descent_spline(d, n, k) for k in range(d + 1)))
-    if route == "explicit":
-        return _make_table(d, n, (descent_explicit(d, n, k) for k in range(d + 1)))
-    if route == "recurrence":
-        return descent_recurrence_table(d, n)
-    if route == "refined":
-        return _make_table(d, n, (descent_via_refined(d, n, k) for k in range(d + 1)))
-    if route == "brute":
-        return indexed_bruteforce(d, n, budget=budget)
-    raise ValueError(f"unknown route {route!r}")
+    if route not in TABLE_ROUTES:
+        raise ValueError(f"unknown route {route!r}")
+    return TABLE_ROUTES[route](d, n, budget)
 
 
 def log_concavity_verdict(table: DescentTable) -> list[int]:

@@ -136,18 +136,30 @@ def refined_bruteforce(d: int, max_dimension: int = MAX_REFINED_BRUTE_DIMENSION)
     return RefinedTriangle(d=d, values=tuple(tuple(row) for row in grid))
 
 
+def _refined_grid(d: int, entry) -> RefinedTriangle:
+    values = tuple(tuple(entry(d, k, j) for j in range(d + 1)) for k in range(d + 1))
+    return RefinedTriangle(d=d, values=values)
+
+
+# Routes by name, reference route first.  The lambdas look the route
+# functions up when called, so rebinding a module attribute reaches them.
+ROW_ROUTES = {
+    "spline": lambda d: eulerian_row_spline(d),
+    "brute": lambda d: eulerian_bruteforce(d),
+}
+
+REFINED_ROUTES = {
+    "explicit": lambda d: _refined_grid(d, refined_explicit),
+    "lambda": lambda d: _refined_grid(d, refined_lambda_extraction),
+    "brute": lambda d: refined_bruteforce(d),
+}
+
+
 def refined_triangle(d: int, route: str = "explicit") -> RefinedTriangle:
     """Full refined grid for 0 <= k, j <= d by the chosen route."""
-    if route == "brute":
-        return refined_bruteforce(d)
-    if route == "explicit":
-        fn = refined_explicit
-    elif route == "lambda":
-        fn = refined_lambda_extraction
-    else:
+    if route not in REFINED_ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    values = tuple(tuple(fn(d, k, j) for j in range(d + 1)) for k in range(d + 1))
-    return RefinedTriangle(d=d, values=values)
+    return REFINED_ROUTES[route](d)
 
 
 def eulerian_two_scale_residual(d: int, k: int) -> Fraction:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 import numpy as np
@@ -89,17 +90,19 @@ class VolumeEstimate:
     hits: int
 
 
+def _splitmix64(seed: int):
+    """Endless scalar splitmix64 output stream started from `seed`."""
+    state = seed & _MASK64
+    while True:
+        state = (state + _GAMMA) & _MASK64
+        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        yield z ^ (z >> 31)
+
+
 def splitmix64_stream(seed: int, count: int) -> list[int]:
     """First `count` outputs of splitmix64 started from `seed` (scalar form)."""
-    out = []
-    state = seed & _MASK64
-    for _ in range(count):
-        state = (state + _GAMMA) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        out.append(z ^ (z >> 31))
-    return out
+    return list(islice(_splitmix64(seed), count))
 
 
 def _splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
@@ -145,15 +148,9 @@ def _count_hits_exact(spec: SliceSpec, samples: int, seed: int) -> int:
     lo_lhs, lo_mul, hi_rhs, hi_mul = _hit_bounds(spec)
     d = spec.d
     hits = 0
-    state = seed & _MASK64
+    stream = _splitmix64(seed)
     for _ in range(samples):
-        total = 0
-        for _ in range(d):
-            state = (state + _GAMMA) & _MASK64
-            z = state
-            z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            total += (z ^ (z >> 31)) >> 11
+        total = sum(z >> 11 for z in islice(stream, d))
         if lo_lhs <= lo_mul * total and hi_mul * total <= hi_rhs:
             hits += 1
     return hits

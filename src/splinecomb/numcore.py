@@ -15,7 +15,6 @@ from fractions import Fraction
 # The universal exact scalar.  Integers cross module boundaries as Fractions
 # with denominator 1 wherever a Rational is expected.
 Rational = Fraction
-Natural = int
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
@@ -30,13 +29,6 @@ def binomial(n: int, k: int) -> int:
 def factorial(n: int) -> int:
     """n! for n >= 0."""
     return math.factorial(n)
-
-
-def int_pow(x: Rational | int, e: int) -> Rational | int:
-    """Exact power x**e with the convention 0**0 == 1."""
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    return x**e
 
 
 def truncated_pow(x: Rational | int, e: int) -> Rational:

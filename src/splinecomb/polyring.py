@@ -132,10 +132,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
-def constant(value: Rational | int) -> Polynomial:
-    return Polynomial([value])
-
-
 def interpolate(points: Sequence[tuple[Rational | int, Rational | int]]) -> Polynomial:
     """Lagrange interpolation through the given (x, y) points, exactly.
 

@@ -73,6 +73,14 @@ def bspline_eval_recurrence(d: int, x: Rational | int) -> Fraction:
     return vals[0]
 
 
+# Evaluation routes by name, reference route first.  The lambdas look the
+# route functions up when called, so rebinding a module attribute reaches them.
+EVAL_ROUTES = {
+    "explicit": lambda d, x: bspline_eval_explicit(d, x),
+    "recurrence": lambda d, x: bspline_eval_recurrence(d, x),
+}
+
+
 def bspline_piece(d: int, j: int) -> PiecePoly:
     """Polynomial equal to B_d on [j, j+1), for 0 <= j <= d-1.
 

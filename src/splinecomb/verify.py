@@ -94,13 +94,27 @@ def _sample_points(d: int, count: int, rng: random.Random) -> list[Fraction]:
     return points
 
 
+def _cross_routes(rec: _Recorder, kind: str, where: str, routes: dict, *args):
+    """Check every route of `routes` against the first, the reference, on
+    `args`, and return the reference result.  A route that refuses `args`
+    as too large to enumerate is skipped."""
+    reference, *others = routes
+    expected = routes[reference](*args)
+    for route in others:
+        try:
+            actual = routes[route](*args)
+        except TooLarge:
+            continue
+        rec.check(f"{kind} {route} {where}", expected, actual)
+    return expected
+
+
 def verify_bspline(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     rec = _Recorder("bspline")
     rng = random.Random(config.sample_seed)
     for d in range(1, config.d_max + 1):
         for x in _sample_points(d, config.sample_points, rng):
-            explicit = splinecore.bspline_eval_explicit(d, x)
-            rec.check(f"routes d={d} x={x}", explicit, splinecore.bspline_eval_recurrence(d, x))
+            explicit = _cross_routes(rec, "route", f"d={d} x={x}", splinecore.EVAL_ROUTES, d, x)
             if d >= 2:
                 rec.check(f"symmetry d={d} x={x}", explicit, splinecore.bspline_eval_explicit(d, d - x))
             rec.check(f"two-scale d={d} x={x}", Fraction(0), splinecore.two_scale_residual(d, x))
@@ -124,9 +138,7 @@ def verify_bspline(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
 def verify_eulerian(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     rec = _Recorder("eulerian")
     for d in range(1, config.d_max + 1):
-        spline_row = eulerian.eulerian_row_spline(d)
-        if d <= eulerian.MAX_BRUTE_DIMENSION:
-            rec.check(f"row d={d}", eulerian.eulerian_bruteforce(d).values, spline_row.values)
+        spline_row = _cross_routes(rec, "row", f"d={d}", eulerian.ROW_ROUTES, d)
         rec.check(f"row-sum d={d}", factorial(d), sum(spline_row.values))
         for k in range(1, d + 1):
             rec.check(f"symmetry d={d} k={k}", spline_row.value(k), spline_row.value(d + 1 - k))
@@ -135,10 +147,7 @@ def verify_eulerian(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
                 Fraction(0),
                 eulerian.eulerian_two_scale_residual(d, k),
             )
-        explicit = eulerian.refined_triangle(d, "explicit")
-        rec.check(f"refined lambda d={d}", explicit.values, eulerian.refined_triangle(d, "lambda").values)
-        if d <= eulerian.MAX_REFINED_BRUTE_DIMENSION:
-            rec.check(f"refined brute d={d}", explicit.values, eulerian.refined_bruteforce(d).values)
+        explicit = _cross_routes(rec, "refined", f"d={d}", eulerian.REFINED_ROUTES, d)
         for k in range(d + 1):
             rec.check(
                 f"refined-last-column d={d} k={k}",
@@ -152,15 +161,7 @@ def verify_descent(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     rec = _Recorder("descent")
     for d in range(1, config.d_max + 1):
         for n in range(1, config.n_max + 1):
-            spline = descent.descent_table(d, n, "spline")
-            for route in ("explicit", "recurrence", "refined"):
-                rec.check(f"route {route} d={d} n={n}", spline.values, descent.descent_table(d, n, route).values)
-            try:
-                brute = descent.indexed_bruteforce(d, n, budget=config.budget)
-            except TooLarge:
-                pass
-            else:
-                rec.check(f"route brute d={d} n={n}", spline.values, brute.values)
+            spline = _cross_routes(rec, "route", f"d={d} n={n}", descent.TABLE_ROUTES, d, n, config.budget)
             rec.check(f"conservation d={d} n={n}", n**d * factorial(d), sum(spline.values))
             rec.check(f"no-descent count d={d} n={n}", 1, spline.values[0])
             rec.check(f"poly-at-1 d={d} n={n}", Fraction(n**d * factorial(d)), spline.polynomial(1))

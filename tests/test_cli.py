@@ -15,6 +15,84 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+# Frozen stdout of one small call per leaf command, in both formats: the
+# output bytes are part of the CLI contract.
+GOLDEN_STDOUT = [
+    (
+        ("bspline", "eval", "--d", "4", "--x", "5/3", "--route", "recurrence"),
+        "31/54\n",
+        '{"d": 4, "x": "5/3", "route": "recurrence", "value": "31/54"}\n',
+    ),
+    (
+        ("bspline", "piece", "--d", "4", "--j", "2"),
+        "-22/3,10,-4,1/2\n",
+        '{"d": 4, "j": 2, "coefficients": ["-22/3", "10", "-4", "1/2"]}\n',
+    ),
+    (
+        ("bspline", "integrate", "--d", "3", "--a=-1/2", "--b", "7/4"),
+        "131/192\n",
+        '{"d": 3, "a": "-1/2", "b": "7/4", "value": "131/192"}\n',
+    ),
+    (
+        ("eulerian", "row", "--d", "5", "--route", "brute"),
+        "1,1\n2,26\n3,66\n4,26\n5,1\n",
+        '{"d": 5, "route": "brute", "values": ["1", "26", "66", "26", "1"]}\n',
+    ),
+    (
+        ("eulerian", "refined", "--d", "3", "--route", "lambda"),
+        "0,0,1\n0,1,0\n0,2,0\n0,3,0\n1,0,4\n1,1,4\n1,2,2\n1,3,1\n2,0,1\n2,1,2\n2,2,4\n2,3,4\n3,0,0\n3,1,0\n3,2,0\n3,3,1\n",
+        '{"d": 3, "route": "lambda", "values": [["1", "0", "0", "0"], ["4", "4", "2", "1"], ["1", "2", "4", "4"], ["0", "0", "0", "1"]]}\n',
+    ),
+    (
+        ("eulerian", "verify", "--d-max", "3"),
+        "suite,cases_run,cases_failed\neulerian,33,0\n",
+        '{"reports": [{"suite": "eulerian", "cases_run": 33, "cases_failed": 0, "failures": []}], "total_cases": 33, "total_failed": 0}\n',
+    ),
+    (
+        ("descent", "table", "--d", "3", "--n", "2", "--route", "refined"),
+        "0,1\n1,23\n2,23\n3,1\n",
+        '{"d": 3, "n": 2, "route": "refined", "values": ["1", "23", "23", "1"], "checks": {"conservation": true, "log_concave": true}}\n',
+    ),
+    (
+        ("descent", "poly", "--d", "3", "--n", "3"),
+        "1,60,93,8\n",
+        '{"d": 3, "n": 3, "coefficients": ["1", "60", "93", "8"]}\n',
+    ),
+    (
+        ("descent", "verify", "--d-max", "2", "--n-max", "2"),
+        "suite,cases_run,cases_failed\ndescent,45,0\n",
+        '{"reports": [{"suite": "descent", "cases_run": 45, "cases_failed": 0, "failures": []}], "total_cases": 45, "total_failed": 0}\n',
+    ),
+    (
+        ("geometry", "mc", "--d", "2", "--scale", "2", "--lower", "1", "--upper", "3", "--samples", "500", "--seed", "7"),
+        "estimate,736/125\nstandard_error,308024/1953125\nhits,368\nsamples,500\nseed,7\n",
+        '{"d": 2, "scale": 2, "lower": "1", "upper": "3", "estimate": "736/125", "standard_error": "308024/1953125", "hits": 368, "samples": 500, "seed": 7}\n',
+    ),
+    (
+        ("geometry", "minkowski", "--d", "3", "--k", "1"),
+        "4,12,6,1\n",
+        '{"d": 3, "k": 1, "coefficients": ["4", "12", "6", "1"]}\n',
+    ),
+    (
+        ("verify", "--all", "--d-max", "2", "--n-max", "1", "--samples", "200"),
+        "suite,cases_run,cases_failed\nbspline,331,0\neulerian,19,0\ndescent,25,0\ngeometry,41,0\nmonte-carlo,24,0\n",
+        '{"reports": [{"suite": "bspline", "cases_run": 331, "cases_failed": 0, "failures": []}, {"suite": "eulerian", "cases_run": 19, "cases_failed": 0, "failures": []}, {"suite": "descent", "cases_run": 25, "cases_failed": 0, "failures": []}, {"suite": "geometry", "cases_run": 41, "cases_failed": 0, "failures": []}, {"suite": "monte-carlo", "cases_run": 24, "cases_failed": 0, "failures": []}], "total_cases": 440, "total_failed": 0}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, csv_out, json_out",
+    GOLDEN_STDOUT,
+    ids=["-".join(w for w in g[0][:2] if not w.startswith("--")) for g in GOLDEN_STDOUT],
+)
+def test_golden_stdout(capsys, argv, csv_out, json_out, fmt):
+    code, out = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out == (csv_out if fmt == "csv" else json_out)
+
+
 def test_eulerian_row_csv(capsys):
     code, out = run_cli(capsys, "eulerian", "row", "--d", "4", "--route", "brute", "--format", "csv")
     assert code == 0
@@ -152,6 +230,12 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # --all is required
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["eulerian", "row", "--d", "0"])  # dimensions are positive
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["eulerian", "verify", "--d-max", "0"])  # an empty sweep is not a pass
+    assert exc.value.code == 2
 
 
 def test_invalid_slice_exits_2(capsys):
@@ -161,6 +245,10 @@ def test_invalid_slice_exits_2(capsys):
     )
     assert code == 2
     assert "slab" in capsys.readouterr().err
+    code = main(["bspline", "piece", "--d", "2", "--j", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "support" in captured.err and captured.out == ""
 
 
 def test_cli_output_is_byte_identical_across_runs():

@@ -10,7 +10,6 @@ from splinecomb.numcore import (
     binomial,
     factorial,
     format_rational,
-    int_pow,
     parse_rational,
     truncated_pow,
 )
@@ -57,15 +56,7 @@ def test_truncated_pow_examples():
     assert truncated_pow(0, 5) == 0
 
 
-def test_int_pow_examples():
-    assert int_pow(Fraction(0), 0) == 1
-    assert int_pow(Fraction(2, 3), 2) == Fraction(4, 9)
-    assert int_pow(Fraction(-5), 3) == -125
-
-
 def test_negative_exponents_rejected():
-    with pytest.raises(ValueError):
-        int_pow(Fraction(2), -1)
     with pytest.raises(ValueError):
         truncated_pow(Fraction(2), -1)
 
@@ -75,7 +66,7 @@ def test_negative_exponents_rejected():
     st.integers(min_value=0, max_value=12),
 )
 def test_truncated_equals_plain_power_on_positives(x, e):
-    assert truncated_pow(x, e) == int_pow(x, e)
+    assert truncated_pow(x, e) == x**e
 
 
 @given(

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splinecomb.errors import DuplicateNode
-from splinecomb.polyring import Polynomial, constant, interpolate
+from splinecomb.polyring import Polynomial, interpolate
 
 coeffs_st = st.lists(st.fractions(max_denominator=50), min_size=0, max_size=9)
 polys_st = coeffs_st.map(Polynomial)
@@ -82,7 +82,7 @@ def test_immutability():
 
 def test_interpolate_examples():
     assert interpolate([(0, 1), (1, 2)]) == Polynomial([1, 1])
-    assert interpolate([(0, Fraction(5, 3))]) == constant(Fraction(5, 3))
+    assert interpolate([(0, Fraction(5, 3))]) == Polynomial([Fraction(5, 3)])
     assert interpolate([(0, 1), (1, 4), (2, 9)]) == Polynomial([1, 2, 1])
 
 

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+from splinecomb.errors import TooLarge
 from splinecomb.verify import (
     VerifyConfig,
     VerifyReport,
+    _cross_routes,
     _Recorder,
     mc_cases,
     verify_all,
@@ -28,6 +30,18 @@ def test_recorder_counts_and_failures():
     assert report.failures[0] == ("bad", "1/2", "1/3")
     assert report.failures[1] == ("nonneg-bad", ">= 0", "-2")
     assert not report.ok
+
+
+def test_cross_routes_checks_against_the_first_and_skips_too_large():
+    def refuse(x):
+        raise TooLarge("too many objects", bound=0)
+
+    routes = {"ref": lambda x: x, "same": lambda x: x, "huge": refuse, "off": lambda x: x + 1}
+    rec = _Recorder("demo")
+    assert _cross_routes(rec, "route", "x=1", routes, 1) == 1
+    report = rec.report()
+    assert report.cases_run == 2
+    assert report.failures == (("route off x=1", "1", "2"),)
 
 
 def test_report_invariant():
