@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import descent, eulerian, geometry, splinecore, verify
-from .errors import SplinecombError
+from .errors import DEFAULT_ENUMERATION_BUDGET, SplinecombError
 from .numcore import factorial, format_rational, parse_rational
 from .verify import VerifyConfig, VerifyReport
 
@@ -139,14 +139,14 @@ def _leaves() -> dict[str, _Leaf]:
         "eulerian row": _Leaf(
             "row of Eulerian numbers",
             (_D, _route(eulerian.ROW_ROUTES)),
-            lambda a: eulerian.ROW_ROUTES[a.route](a.d),
+            lambda a: eulerian.ROW_ROUTES[a.route](a.d, a.budget),
             _eulerian_row,
             ("d", "route"),
         ),
         "eulerian refined": _Leaf(
             "refined triangle for S_{d+1}",
             (_D, _route(eulerian.REFINED_ROUTES)),
-            lambda a: eulerian.refined_triangle(a.d, a.route),
+            lambda a: eulerian.refined_triangle(a.d, a.route, a.budget),
             _refined,
             ("d", "route"),
         ),
@@ -183,7 +183,7 @@ def _leaves() -> dict[str, _Leaf]:
                 _required("--scale"),
                 _required("--lower", parse_rational),
                 _required("--upper", parse_rational),
-                _required("--samples"),
+                _required("--samples", _positive_int),
                 _required("--seed"),
             ),
             lambda a: geometry.mc_volume(
@@ -207,7 +207,7 @@ def _leaves() -> dict[str, _Leaf]:
                 _N_MAX,
                 (
                     "--samples",
-                    {"type": int, "default": 100_000, "help": "Monte Carlo samples per slice/seed"},
+                    {"type": _positive_int, "default": 100_000, "help": "Monte Carlo samples per slice/seed"},
                 ),
             ),
             lambda a: verify.verify_all(
@@ -222,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     common.add_argument(
         "--budget",
-        type=int,
-        default=descent.DEFAULT_ENUMERATION_BUDGET,
-        help="enumeration budget for the indexed-permutation brute force",
+        type=_positive_int,
+        default=DEFAULT_ENUMERATION_BUDGET,
+        help="most objects any brute-force enumeration may visit",
     )
     parser = argparse.ArgumentParser(prog="splinecomb", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
@@ -302,7 +302,11 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # argparse parses "--flag=--" as an empty list without calling the flag's type.
+    if [] in vars(args).values():
+        parser.error("'--' is not a value")
     try:
         return _run(args)
     except (SplinecombError, ValueError) as exc:

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .errors import NegativeResult, NonIntegerResult, TooLarge
+from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, NonIntegerResult, check_budget
 from .eulerian import refined_explicit
 from .numcore import binomial, factorial
 from .polyring import Polynomial
 from .splinecore import bspline_eval_explicit
-
-DEFAULT_ENUMERATION_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -157,11 +155,7 @@ def descent_via_refined(d: int, n: int, k: int) -> int:
 def indexed_bruteforce(d: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> DescentTable:
     """Histogram of descent counts over every (permutation, index vector) pair."""
     _check_args(d, n)
-    total = n**d * factorial(d)
-    if total > budget:
-        raise TooLarge(
-            f"enumeration of {total} indexed permutations exceeds budget {budget}", bound=budget
-        )
+    check_budget(n**d * factorial(d), budget, "indexed permutations")
     counts = [0] * (d + 1)
     index_vectors = list(product(range(n), repeat=d))
     for perm in permutations(range(1, d + 1)):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration budget guard."""
 
 
 class SplinecombError(Exception):
@@ -30,6 +30,13 @@ class NegativeResult(SplinecombError):
 class TooLarge(SplinecombError):
     """Requested enumeration exceeds the configured budget."""
 
-    def __init__(self, message: str, bound: int | None = None):
-        super().__init__(message)
-        self.bound = bound
+
+# Admits the indexed (d, n) = (6, 4) enumeration (2,949,120 objects) but
+# not S_10 (3,628,800 permutations).
+DEFAULT_ENUMERATION_BUDGET = 3 * 10**6
+
+
+def check_budget(objects: int, budget: int, what: str) -> None:
+    """Refuse to enumerate `objects` things of kind `what` beyond `budget`."""
+    if objects > budget:
+        raise TooLarge(f"enumeration of {objects} {what} exceeds budget {budget}")

@@ -12,19 +12,15 @@ oracle the others are gated on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import NegativeResult, NonIntegerResult, TooLarge
+from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, NonIntegerResult, check_budget
 from .numcore import binomial, factorial
 from .polyring import Polynomial
 from .splinecore import bspline_eval_explicit
-
-# Enumeration bounds keep full verification sweeps in the minutes range;
-# callers may raise them explicitly.
-MAX_BRUTE_DIMENSION = 10
-MAX_REFINED_BRUTE_DIMENSION = 8
 
 
 @dataclass(frozen=True)
@@ -81,12 +77,11 @@ def eulerian_row_spline(d: int) -> EulerianRow:
     return EulerianRow(d=d, values=tuple(eulerian_spline(d, k) for k in range(1, d + 1)))
 
 
-def eulerian_bruteforce(d: int, max_dimension: int = MAX_BRUTE_DIMENSION) -> EulerianRow:
+def eulerian_bruteforce(d: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> EulerianRow:
     """Histogram of descent counts over all of S_d (cost d!)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if d > max_dimension:
-        raise TooLarge(f"brute-force bound is d <= {max_dimension}, got {d}", bound=max_dimension)
+    check_budget(math.factorial(d), budget, "permutations")
     counts = [0] * d
     for perm in permutations(range(1, d + 1)):
         counts[descent_count(perm)] += 1
@@ -122,14 +117,11 @@ def refined_lambda_extraction(d: int, k: int, j: int) -> int:
     return _as_int(value, f"refined_lambda_extraction({d}, {k}, {j})")
 
 
-def refined_bruteforce(d: int, max_dimension: int = MAX_REFINED_BRUTE_DIMENSION) -> RefinedTriangle:
+def refined_bruteforce(d: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> RefinedTriangle:
     """Enumerate S_{d+1}, recording (descent count, last element)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if d > max_dimension:
-        raise TooLarge(
-            f"refined brute-force bound is d <= {max_dimension}, got {d}", bound=max_dimension
-        )
+    check_budget(math.factorial(d + 1), budget, "permutations")
     grid = [[0] * (d + 1) for _ in range(d + 1)]
     for perm in permutations(range(1, d + 2)):
         grid[descent_count(perm)][d + 1 - perm[-1]] += 1
@@ -144,22 +136,24 @@ def _refined_grid(d: int, entry) -> RefinedTriangle:
 # Routes by name, reference route first.  The lambdas look the route
 # functions up when called, so rebinding a module attribute reaches them.
 ROW_ROUTES = {
-    "spline": lambda d: eulerian_row_spline(d),
-    "brute": lambda d: eulerian_bruteforce(d),
+    "spline": lambda d, budget: eulerian_row_spline(d),
+    "brute": lambda d, budget: eulerian_bruteforce(d, budget),
 }
 
 REFINED_ROUTES = {
-    "explicit": lambda d: _refined_grid(d, refined_explicit),
-    "lambda": lambda d: _refined_grid(d, refined_lambda_extraction),
-    "brute": lambda d: refined_bruteforce(d),
+    "explicit": lambda d, budget: _refined_grid(d, refined_explicit),
+    "lambda": lambda d, budget: _refined_grid(d, refined_lambda_extraction),
+    "brute": lambda d, budget: refined_bruteforce(d, budget),
 }
 
 
-def refined_triangle(d: int, route: str = "explicit") -> RefinedTriangle:
+def refined_triangle(
+    d: int, route: str = "explicit", budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> RefinedTriangle:
     """Full refined grid for 0 <= k, j <= d by the chosen route."""
     if route not in REFINED_ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    return REFINED_ROUTES[route](d)
+    return REFINED_ROUTES[route](d, budget)
 
 
 def eulerian_two_scale_residual(d: int, k: int) -> Fraction:

@@ -86,7 +86,7 @@ class VolumeEstimate:
     estimate: Fraction
     standard_error: Fraction
     samples: int
-    seed: int
+    seed: int  # reduced mod 2^64: the seed the generator ran from
     hits: int
 
 
@@ -197,7 +197,7 @@ def mc_volume(spec: SliceSpec, samples: int, seed: int) -> VolumeEstimate:
         estimate=norm * p_hat,
         standard_error=stderr,
         samples=samples,
-        seed=seed,
+        seed=seed & _MASK64,
         hits=hits,
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import descent, eulerian, geometry, splinecore
-from .errors import TooLarge
+from .errors import DEFAULT_ENUMERATION_BUDGET, TooLarge
 from .numcore import binomial, factorial, format_rational
 
 DEFAULT_MC_SEEDS = (101, 20231, 777003)
@@ -30,7 +30,7 @@ class VerifyConfig:
 
     d_max: int = 6
     n_max: int = 3
-    budget: int = descent.DEFAULT_ENUMERATION_BUDGET
+    budget: int = DEFAULT_ENUMERATION_BUDGET
     mc_samples: int = 100_000
     mc_seeds: tuple[int, ...] = DEFAULT_MC_SEEDS
     mc_dilated_d_max: int = 4
@@ -138,7 +138,7 @@ def verify_bspline(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
 def verify_eulerian(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     rec = _Recorder("eulerian")
     for d in range(1, config.d_max + 1):
-        spline_row = _cross_routes(rec, "row", f"d={d}", eulerian.ROW_ROUTES, d)
+        spline_row = _cross_routes(rec, "row", f"d={d}", eulerian.ROW_ROUTES, d, config.budget)
         rec.check(f"row-sum d={d}", factorial(d), sum(spline_row.values))
         for k in range(1, d + 1):
             rec.check(f"symmetry d={d} k={k}", spline_row.value(k), spline_row.value(d + 1 - k))
@@ -147,7 +147,7 @@ def verify_eulerian(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
                 Fraction(0),
                 eulerian.eulerian_two_scale_residual(d, k),
             )
-        explicit = _cross_routes(rec, "refined", f"d={d}", eulerian.REFINED_ROUTES, d)
+        explicit = _cross_routes(rec, "refined", f"d={d}", eulerian.REFINED_ROUTES, d, config.budget)
         for k in range(d + 1):
             rec.check(
                 f"refined-last-column d={d} k={k}",

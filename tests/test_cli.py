@@ -1,12 +1,18 @@
 """Command-line surface: grammars, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splinecomb import cli
 from splinecomb.cli import main
+from splinecomb.numcore import parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -190,14 +196,19 @@ def test_budget_violation_exits_2(capsys):
     code = main(["eulerian", "row", "--d", "12", "--route", "brute"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "bound" in captured.err or "budget" in captured.err or "<= " in captured.err
+    assert "budget" in captured.err
 
 
 def test_brute_budget_flag(capsys):
-    code = main(["descent", "table", "--d", "3", "--n", "3", "--route", "brute", "--budget", "10"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "budget" in captured.err
+    for argv in (
+        ["descent", "table", "--d", "3", "--n", "3", "--route", "brute", "--budget", "10"],
+        ["eulerian", "row", "--d", "8", "--route", "brute", "--budget", "10"],
+        ["eulerian", "refined", "--d", "3", "--route", "brute", "--budget", "23"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert "budget" in captured.err and captured.out == "", argv
 
 
 def test_failed_verification_exits_1(capsys):
@@ -236,6 +247,18 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["eulerian", "verify", "--d-max", "0"])  # an empty sweep is not a pass
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["descent", "table", "--d", "3", "--n", "2", "--budget", "0"])  # budgets are positive
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["descent", "table", "--d", "3", "--n", "2", "--budget=-1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--all", "--samples", "0"])  # sample counts are positive
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bspline", "eval", "--d", "1", "--x=--"])
+    assert exc.value.code == 2
 
 
 def test_invalid_slice_exits_2(capsys):
@@ -273,3 +296,59 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "2/3"
+
+
+_JUNK_RATIONALS = ("1.5", "abc", "", "1/", "/2", " 3", "0x10", "1e3", "--", "1/0", "2/-3")
+
+
+def _rationals():
+    return st.one_of(
+        st.integers(-50, 50).map(str),
+        st.tuples(st.integers(-50, 50), st.integers(1, 20)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+        st.sampled_from(_JUNK_RATIONALS),
+    )
+
+
+def _flag_values(flag: str, options: dict):
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    if options.get("type") is parse_rational:
+        return _rationals()
+    if flag == "--seed":
+        return st.integers(-(2**70), 2**70)
+    if flag == "--samples":
+        return st.integers(-2, 2000)
+    return st.integers(-2, 8)
+
+
+@st.composite
+def _argvs(draw):
+    leaves = cli._leaves()
+    path = draw(st.sampled_from(sorted(leaves)))
+    argv = path.split()
+    for flag, options in leaves[path].arguments:
+        if not draw(st.integers(0, 9)):  # now and then leave a flag out
+            continue
+        if options.get("action") == "store_true":
+            argv.append(flag)
+        else:
+            argv.append(f"{flag}={draw(_flag_values(flag, options))}")
+    if draw(st.booleans()):
+        argv.append(f"--budget={draw(st.integers(-2, 10**4))}")
+    argv.append(f"--format={draw(st.sampled_from(('csv', 'json')))}")
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(_argvs())
+def test_every_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "", argv

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splinecomb.descent import indexed_bruteforce
 from splinecomb.errors import TooLarge
 from splinecomb.eulerian import (
     descent_count,
@@ -64,8 +65,23 @@ def test_rows_match_frozen_and_each_other(d):
 def test_bruteforce_bound():
     with pytest.raises(TooLarge):
         eulerian_bruteforce(11)
-    # the bound is configuration, not a hard limit
-    assert eulerian_bruteforce(3, max_dimension=3).values == (1, 4, 1)
+    # the budget is configuration, not a hard limit
+    assert eulerian_bruteforce(3, budget=6).values == (1, 4, 1)
+
+
+@pytest.mark.parametrize(
+    "run, objects",
+    [
+        (lambda budget: eulerian_bruteforce(5, budget), factorial(5)),
+        (lambda budget: refined_bruteforce(4, budget), factorial(5)),
+        (lambda budget: indexed_bruteforce(3, 2, budget), 2**3 * factorial(3)),
+    ],
+    ids=["eulerian", "refined", "indexed"],
+)
+def test_budget_counts_enumerated_objects(run, objects):
+    run(objects)
+    with pytest.raises(TooLarge, match="budget"):
+        run(objects - 1)
 
 
 @pytest.mark.parametrize("d", range(1, 13))

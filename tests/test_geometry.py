@@ -88,6 +88,13 @@ def test_mc_determinism_and_frozen_values():
     assert other_seed.hits != est.hits
 
 
+def test_mc_seed_is_reported_mod_2_64():
+    spec = SliceSpec(d=2, scale=1, lower=Fraction(0), upper=Fraction(1))
+    negative = mc_volume(spec, 50, -5)
+    assert negative == mc_volume(spec, 50, 2**64 - 5)
+    assert negative.seed == 2**64 - 5
+
+
 def test_mc_unit_slab_near_eulerian_value():
     est = mc_volume(SliceSpec.cube_slice(2, 1), 10_000, 42)
     assert abs(est.estimate - 1) <= 4 * est.standard_error

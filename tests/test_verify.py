@@ -34,7 +34,7 @@ def test_recorder_counts_and_failures():
 
 def test_cross_routes_checks_against_the_first_and_skips_too_large():
     def refuse(x):
-        raise TooLarge("too many objects", bound=0)
+        raise TooLarge("too many objects")
 
     routes = {"ref": lambda x: x, "same": lambda x: x, "huge": refuse, "off": lambda x: x + 1}
     rec = _Recorder("demo")
@@ -75,6 +75,12 @@ def test_mc_case_sweep_shape():
     for _, spec, exact in cases:
         assert exact >= 0
         assert 0 <= spec.lower <= spec.upper <= spec.scale * spec.d
+
+
+def test_eulerian_suite_honours_the_budget():
+    starved = verify_eulerian(VerifyConfig(d_max=3, budget=1))
+    assert starved.ok
+    assert starved.cases_run < verify_eulerian(VerifyConfig(d_max=3)).cases_run
 
 
 def test_suites_are_deterministic():
