@@ -39,7 +39,14 @@ from .eulerian import (
     refined_lambda_extraction,
     refined_triangle,
 )
-from .geometry import SliceSpec, VolumeEstimate, mc_volume, minkowski_poly, mixed_volume
+from .geometry import (
+    SliceSpec,
+    VolumeEstimate,
+    mc_volume,
+    minkowski_poly,
+    mixed_volume,
+    mixed_volume_row,
+)
 from .numcore import (
     Rational,
     binomial,

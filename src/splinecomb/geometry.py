@@ -223,17 +223,28 @@ def minkowski_poly(d: int, k: int) -> Polynomial:
     return interpolate(points)
 
 
-def mixed_volume(d: int, k: int, j: int) -> Fraction:
-    """j-th mixed volume of adjacent unit-cube slabs k and k+1.
+def mixed_volume_row(d: int, k: int) -> tuple[Fraction, ...]:
+    """Mixed volumes j = 0..d of adjacent unit-cube slabs k and k+1.
 
-    Coefficient d-j of the Minkowski volume polynomial divided by
-    C(d, d-j); always a non-negative integer (a refined Eulerian number).
+    Entry j is coefficient d-j of the Minkowski volume polynomial divided
+    by C(d, d-j); always a non-negative integer (a refined Eulerian
+    number).  The polynomial is interpolated once for the whole row.
     """
+    poly = minkowski_poly(d, k)
+    row = []
+    for j in range(d + 1):
+        value = poly.coefficient(d - j) / binomial(d, d - j)
+        if value < 0:
+            raise NegativeResult(f"mixed_volume({d}, {k}, {j}) = {value}")
+        row.append(value)
+    return tuple(row)
+
+
+def mixed_volume(d: int, k: int, j: int) -> Fraction:
+    """j-th mixed volume of adjacent unit-cube slabs k and k+1: entry j
+    of mixed_volume_row(d, k)."""
     _check_geometry_args(d, k, j)
-    value = minkowski_poly(d, k).coefficient(d - j) / binomial(d, d - j)
-    if value < 0:
-        raise NegativeResult(f"mixed_volume({d}, {k}, {j}) = {value}")
-    return value
+    return mixed_volume_row(d, k)[j]
 
 
 def _check_geometry_args(d: int, k: int, j: int) -> None:

@@ -2,8 +2,12 @@
 
 Coefficients are stored ascending: index i holds the coefficient of the
 i-th power of the indeterminate.  The representation is canonical (no
-trailing zeros; the zero polynomial is the empty tuple), so structural
-equality is mathematical equality.
+trailing zeros; the zero polynomial is the empty tuple; an integral
+coefficient is a plain int, any other a Fraction), so structural equality
+is mathematical equality.  Integral coefficients stay ints because the
+expansions behind B-spline pieces, lambda extraction and Minkowski
+interpolation are mostly integral, and int arithmetic skips the gcd
+normalisation every Fraction operation pays.
 """
 
 from __future__ import annotations
@@ -15,19 +19,25 @@ from .errors import DuplicateNode
 from .numcore import Rational, format_rational
 
 
-def _normalize(coeffs: Iterable[Rational | int]) -> tuple[Fraction, ...]:
-    cs = [Fraction(c) for c in coeffs]
+def _normalize(coeffs: Iterable[Rational | int]) -> tuple[int | Fraction, ...]:
+    cs = []
+    for c in coeffs:
+        if type(c) is not int:
+            c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
+        cs.append(c)
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
 
 class Polynomial:
-    """Immutable dense polynomial with Fraction coefficients."""
+    """Immutable dense polynomial with exact rational coefficients."""
 
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Rational | int] = ()):
         object.__setattr__(self, "coeffs", _normalize(coeffs))
@@ -72,7 +82,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if not self.coeffs or not other.coeffs:
                 return Polynomial()
-            prod = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            prod = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
                     prod[i + j] += a * b
@@ -91,8 +101,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __call__(self, x: Rational | int) -> Fraction:
@@ -105,12 +116,12 @@ class Polynomial:
     def coefficient(self, j: int) -> Fraction:
         """Coefficient of the j-th power; 0 beyond the degree."""
         if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
+            return Fraction(self.coeffs[j])
         return Fraction(0)
 
     def antiderivative(self) -> "Polynomial":
         """Antiderivative with zero constant term."""
-        return Polynomial([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        return Polynomial([0] + [Fraction(c, i + 1) for i, c in enumerate(self.coeffs)])
 
     def coefficient_strings(self) -> list[str]:
         """Ascending coefficients in the canonical "p/q" wire format."""

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from splinecomb import cli
 from splinecomb.cli import main
-from splinecomb.numcore import parse_rational
+from splinecomb.numcore import format_rational, parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -352,3 +353,20 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "", argv
+    if code == 0 and "--format=json" in argv:
+        for text in _json_leaves(json.loads(out.getvalue())):
+            if re.match(r"-?[0-9]", text):  # a number, not a route or suite name
+                assert format_rational(parse_rational(text)) == text, (argv, text)
+
+
+def _json_leaves(value):
+    """Every string of a json payload; a float anywhere fails."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _json_leaves(item)
+    elif isinstance(value, str):
+        yield value
+    else:
+        assert not isinstance(value, float), value

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splinecomb import eulerian
 from splinecomb.descent import indexed_bruteforce
 from splinecomb.errors import TooLarge
 from splinecomb.eulerian import (
@@ -118,6 +119,19 @@ def test_refined_route_equivalence(d):
     explicit = refined_triangle(d, "explicit")
     assert explicit.values == refined_triangle(d, "lambda").values
     assert explicit.values == refined_bruteforce(d).values
+
+
+def test_lambda_route_extracts_every_entry(monkeypatch):
+    # The lambda route stays one extraction per entry, on every call.
+    calls = []
+    extract = eulerian.refined_lambda_extraction
+    monkeypatch.setattr(
+        eulerian, "refined_lambda_extraction", lambda d, k, j: calls.append((d, k, j)) or extract(d, k, j)
+    )
+    for d in (1, 4, 4):
+        calls.clear()
+        refined_triangle(d, "lambda")
+        assert len(calls) == (d + 1) ** 2
 
 
 @pytest.mark.parametrize("d", range(1, 8))

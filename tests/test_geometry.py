@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinecomb.descent import descent_spline
-from splinecomb.eulerian import eulerian_spline, refined_bruteforce, refined_triangle
+from splinecomb.eulerian import eulerian_spline, refined_bruteforce, refined_explicit, refined_triangle
 from splinecomb.geometry import (
     SliceSpec,
     _count_hits_exact,
@@ -16,6 +16,7 @@ from splinecomb.geometry import (
     mc_volume,
     minkowski_poly,
     mixed_volume,
+    mixed_volume_row,
     splitmix64_stream,
 )
 from splinecomb.numcore import binomial, factorial
@@ -182,14 +183,15 @@ def test_mixed_volume_examples():
         assert mixed_volume(2, 1, j) == triangle.value(1, 2 - j)
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("d", range(1, 9))
 def test_mixed_volume_grid_matches_refined_triangle(d):
-    triangle = refined_triangle(d, "explicit")
     for k in range(d + 1):
+        row = mixed_volume_row(d, k)
+        assert len(row) == d + 1
         for j in range(d + 1):
             value = mixed_volume(d, k, j)
-            assert value.denominator == 1
-            assert value == triangle.value(k, d - j)
+            assert type(value) is Fraction and value.denominator == 1
+            assert row[j] == value == refined_explicit(d, k, d - j)
 
 
 def test_geometry_argument_validation():
@@ -199,6 +201,8 @@ def test_geometry_argument_validation():
         minkowski_poly(3, 4)
     with pytest.raises(ValueError):
         mixed_volume(3, 0, 4)
+    with pytest.raises(ValueError):
+        mixed_volume_row(3, 4)
 
 
 @settings(max_examples=25, deadline=None)

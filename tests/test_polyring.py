@@ -7,10 +7,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splinecomb.errors import DuplicateNode
+from splinecomb.numcore import binomial
 from splinecomb.polyring import Polynomial, interpolate
 
 coeffs_st = st.lists(st.fractions(max_denominator=50), min_size=0, max_size=9)
 polys_st = coeffs_st.map(Polynomial)
+
+# Integers given as int, as integral Fraction, or as any Fraction.
+mixed_coeffs_st = st.lists(
+    st.one_of(st.integers(-50, 50), st.integers(-50, 50).map(Fraction), st.fractions(max_denominator=50)),
+    max_size=9,
+)
+
+
+def _assert_canonical(p):
+    """Integral coefficients are ints, the others Fractions; no trailing zero."""
+    for c in p.coeffs:
+        assert type(c) in (int, Fraction)
+        assert (type(c) is int) == (c.denominator == 1), p.coeffs
+    assert not p.coeffs or p.coeffs[-1] != 0
 
 
 def test_add_cancellation_drops_degree():
@@ -36,6 +51,7 @@ def test_mul_examples():
 
 def test_pow_examples():
     assert Polynomial([1, 1]) ** 3 == Polynomial([1, 3, 3, 1])
+    assert Polynomial([1, 1]) ** 14 == Polynomial([binomial(14, i) for i in range(15)])
     assert Polynomial([5, 7, 1]) ** 0 == Polynomial([1])
     assert Polynomial([0, 2]) ** 2 == Polynomial([0, 0, 4])
 
@@ -127,3 +143,35 @@ def test_product_coefficients_are_convolutions(p, q, j):
 def test_evaluation_is_a_homomorphism(p, x, y):
     q = Polynomial([y, 1])
     assert (p * q)(x) == p(x) * q(x)
+
+
+def test_pow_does_not_square_past_the_last_bit(monkeypatch):
+    products = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    Polynomial([1, 1]) ** 14  # 0b1110: three multiplies into the result, three squarings
+    assert len(products) == 6
+
+
+@given(mixed_coeffs_st, st.fractions(max_denominator=30), st.integers(0, 12))
+def test_representation_is_canonical_whatever_the_input_types(cs, x, j):
+    p = Polynomial(cs)
+    as_fractions = Polynomial(Fraction(c) for c in cs)
+    as_ints = Polynomial(c.numerator if Fraction(c).denominator == 1 else c for c in cs)
+    assert p == as_fractions == as_ints
+    assert hash(p) == hash(as_fractions) == hash(as_ints)
+    assert p.coeffs == as_fractions.coeffs
+    _assert_canonical(p)
+    assert type(p.coefficient(j)) is Fraction
+    assert type(p(x)) is Fraction and type(p(int(x))) is Fraction
+    _assert_canonical(p.antiderivative())
+    trimmed = [Fraction(c) for c in cs]
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    assert p.coefficient_strings() == [str(c) for c in trimmed]
+
+
+@given(polys_st, mixed_coeffs_st.map(Polynomial), st.integers(-5, 5), st.integers(0, 4))
+def test_ring_operations_keep_the_representation_canonical(p, q, scalar, e):
+    for result in (p + q, p - q, -p, p * q, q * q, scalar * q, q * Fraction(1, 3), q**e):
+        _assert_canonical(result)

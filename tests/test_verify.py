@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from splinecomb import geometry
 from splinecomb.errors import TooLarge
 from splinecomb.verify import (
     VerifyConfig,
@@ -81,6 +82,19 @@ def test_eulerian_suite_honours_the_budget():
     starved = verify_eulerian(VerifyConfig(d_max=3, budget=1))
     assert starved.ok
     assert starved.cases_run < verify_eulerian(VerifyConfig(d_max=3)).cases_run
+
+
+def test_geometry_suite_rebuilds_each_minkowski_polynomial_every_run(monkeypatch):
+    # Once for the coefficient checks and once inside mixed_volume_row, per
+    # (d, k), on every run: nothing is cached across calls.
+    calls = []
+    build = geometry.minkowski_poly
+    monkeypatch.setattr(geometry, "minkowski_poly", lambda d, k: calls.append((d, k)) or build(d, k))
+    config = VerifyConfig(d_max=3)
+    for _ in range(2):
+        calls.clear()
+        assert verify_geometry(config).ok
+        assert len(calls) == 2 * sum(d + 1 for d in range(1, config.d_max + 1))
 
 
 def test_suites_are_deterministic():
