@@ -14,14 +14,23 @@ import argparse
 import sys
 from fractions import Fraction
 
+from splinecomb.cli import _positive_int
 from splinecomb.descent import descent_table, log_concavity_verdict
 from splinecomb.numcore import format_rational
 
 
+def _d_max(text: str) -> int:
+    # d = 1 has no interior margin, so the sweep starts at d = 2.
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--d-max", type=int, default=10)
-    parser.add_argument("--n-max", type=int, default=4)
+    parser.add_argument("--d-max", type=_d_max, default=10)
+    parser.add_argument("--n-max", type=_positive_int, default=4)
     args = parser.parse_args(argv)
 
     print("d,n,min_margin,min_normalized_margin")

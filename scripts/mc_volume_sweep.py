@@ -5,8 +5,9 @@ Runs the deterministic estimator over every unit-cube slab up to --d-max
 and every dilated slab up to --dilated-d-max / --n-max (the sweep of the
 Monte Carlo verify suite, with its slice labels), for each seed, and
 prints one CSV row per (slice, seed) with the exact value, the estimate,
-the outward-rounded standard error, and whether the estimate sits inside
-the 4-sigma band.  All numbers are exact rational strings.
+its outward-rounded standard error, and whether the estimate sits inside
+the acceptance band of the verify suite (geometry.mc_band).  All numbers
+are exact rational strings.  Sizes must be positive.
 
 Example:
     python scripts/mc_volume_sweep.py --samples 200000 --seeds 11,421,9001
@@ -15,29 +16,34 @@ Example:
 import argparse
 import sys
 
-from splinecomb.geometry import mc_volume
+from splinecomb.cli import _positive_int
+from splinecomb.geometry import mc_band, mc_volume
 from splinecomb.numcore import format_rational
 from splinecomb.verify import VerifyConfig, mc_cases
 
 
+def _seed_list(text: str) -> list[int]:
+    return [int(seed) for seed in text.split(",")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--d-max", type=int, default=6)
-    parser.add_argument("--dilated-d-max", type=int, default=4)
-    parser.add_argument("--n-max", type=int, default=3)
-    parser.add_argument("--samples", type=int, default=100_000)
-    parser.add_argument("--seeds", type=str, default="101,20231,777003",
+    parser.add_argument("--d-max", type=_positive_int, default=6)
+    parser.add_argument("--dilated-d-max", type=_positive_int, default=4)
+    parser.add_argument("--n-max", type=_positive_int, default=3)
+    parser.add_argument("--samples", type=_positive_int, default=100_000)
+    parser.add_argument("--seeds", type=_seed_list, default="101,20231,777003",
                         help="comma-separated seed list")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
 
     print("slice,seed,exact,estimate,standard_error,within_4_sigma")
     excursions = 0
     config = VerifyConfig(d_max=args.d_max, n_max=args.n_max, mc_dilated_d_max=args.dilated_d_max)
     for label, spec, exact in mc_cases(config):
-        for seed in seeds:
+        band = mc_band(spec, exact, args.samples)
+        for seed in args.seeds:
             est = mc_volume(spec, args.samples, seed)
-            inside = abs(est.estimate - exact) <= 4 * est.standard_error
+            inside = abs(est.estimate - exact) <= band
             excursions += not inside
             print(
                 ",".join(

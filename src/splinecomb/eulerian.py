@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, NonIntegerResult, check_budget
 from .numcore import binomial, factorial
@@ -52,9 +52,47 @@ class RefinedTriangle:
         return self.values[k][j]
 
 
-def descent_count(perm) -> int:
-    """Number of positions i with perm[i] > perm[i+1]."""
-    return sum(perm[i] > perm[i + 1] for i in range(len(perm) - 1))
+def _descents(letters, indices) -> int:
+    """Descents of a permutation whose letters carry indices.
+
+    Position i < d descends when the indices strictly decrease there, or
+    tie with the letters decreasing; position d descends when the last
+    index is nonzero.  With every index 0 this is the ordinary count of
+    positions i with letters[i] > letters[i+1].  The one descent rule of
+    every brute-force route.
+    """
+    d = len(letters)
+    count = 0
+    for i in range(d - 1):
+        ei, ej = indices[i], indices[i + 1]
+        if ei > ej or (ei == ej and letters[i] > letters[i + 1]):
+            count += 1
+    if indices[d - 1] > 0:
+        count += 1
+    return count
+
+
+def _descent_grid(d: int, n: int, budget: int, what: str) -> list[list[int]]:
+    """Counts by (last letter, descents) over S_d x {0..n-1}^d (cost n^d * d!).
+
+    grid[m-1][k] counts the indexed permutations ending with letter m that
+    have k descents, 0 <= k <= d.  The only brute-force enumeration: every
+    brute route is a marginal or a re-indexing of this grid.
+    """
+    check_budget(n**d * math.factorial(d), budget, what)
+    grid = [[0] * (d + 1) for _ in range(d)]
+    index_vectors = list(product(range(n), repeat=d))
+    for perm in permutations(range(1, d + 1)):
+        # Last letter first, so the inner loop increments one row.
+        row = grid[perm[-1] - 1]
+        for e in index_vectors:
+            row[_descents(perm, e)] += 1
+    return grid
+
+
+def _descent_marginal(grid: list[list[int]]) -> list[int]:
+    """Counts by descents alone: the grid summed over the last letter."""
+    return [sum(column) for column in zip(*grid)]
 
 
 def _as_int(value: Fraction, context: str) -> int:
@@ -81,11 +119,8 @@ def eulerian_bruteforce(d: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> Eul
     """Histogram of descent counts over all of S_d (cost d!)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    check_budget(math.factorial(d), budget, "permutations")
-    counts = [0] * d
-    for perm in permutations(range(1, d + 1)):
-        counts[descent_count(perm)] += 1
-    return EulerianRow(d=d, values=tuple(counts))
+    counts = _descent_marginal(_descent_grid(d, 1, budget, "permutations"))
+    return EulerianRow(d=d, values=tuple(counts[:d]))
 
 
 def refined_explicit(d: int, k: int, j: int) -> int:
@@ -121,11 +156,10 @@ def refined_bruteforce(d: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> Refi
     """Enumerate S_{d+1}, recording (descent count, last element)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    check_budget(math.factorial(d + 1), budget, "permutations")
-    grid = [[0] * (d + 1) for _ in range(d + 1)]
-    for perm in permutations(range(1, d + 2)):
-        grid[descent_count(perm)][d + 1 - perm[-1]] += 1
-    return RefinedTriangle(d=d, values=tuple(tuple(row) for row in grid))
+    grid = _descent_grid(d + 1, 1, budget, "permutations")
+    # values[k][j] ends with the element d+1-j, which is grid row d-j.
+    values = tuple(tuple(grid[d - j][k] for j in range(d + 1)) for k in range(d + 1))
+    return RefinedTriangle(d=d, values=values)
 
 
 def _refined_grid(d: int, entry) -> RefinedTriangle:

@@ -174,9 +174,9 @@ def mc_volume(spec: SliceSpec, samples: int, seed: int) -> VolumeEstimate:
 
     Draws `samples` points uniformly from the dilated cube and counts those
     whose coordinate sum lies in the (closed) slab.  The estimate is
-    d! * scale^d * hits / samples; the standard error is the binomial one,
-    rounded outward to a rational so the 4-sigma acceptance band is a
-    rigorous bound rather than a float approximation.
+    d! * scale^d * hits / samples; the standard error is the binomial one
+    of the estimate, rounded outward to a rational.  Acceptance against an
+    exact volume uses mc_band, not this error.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -202,6 +202,18 @@ def mc_volume(spec: SliceSpec, samples: int, seed: int) -> VolumeEstimate:
     )
 
 
+def mc_band(spec: SliceSpec, exact: int, samples: int) -> Fraction:
+    """Half-width of the Monte Carlo acceptance band around the exact
+    normalized volume `exact` of `spec`: 4 standard errors of a
+    `samples`-point estimate of the exact slab probability,
+    sqrt(exact * (norm - exact) / samples) with norm = d! * scale^d,
+    rounded outward.  Taken from the exact value rather than from the
+    estimate, the band is not 0 when a slab gets no hits.
+    """
+    norm = factorial(spec.d) * spec.scale**spec.d
+    return 4 * _sqrt_upper_bound(Fraction(exact * (norm - exact), samples))
+
+
 def minkowski_poly(d: int, k: int) -> Polynomial:
     """Volume polynomial (in the dilation weight) of the Minkowski sum of
     unit-cube slabs k and k+1, with the second body's weight fixed at 1.
@@ -223,28 +235,27 @@ def minkowski_poly(d: int, k: int) -> Polynomial:
     return interpolate(points)
 
 
-def mixed_volume_row(d: int, k: int) -> tuple[Fraction, ...]:
-    """Mixed volumes j = 0..d of adjacent unit-cube slabs k and k+1.
+def mixed_volume_row(poly: Polynomial, d: int) -> tuple[Fraction, ...]:
+    """Mixed volumes j = 0..d read from the Minkowski volume polynomial
+    `poly` = minkowski_poly(d, k) of adjacent unit-cube slabs k and k+1.
 
-    Entry j is coefficient d-j of the Minkowski volume polynomial divided
-    by C(d, d-j); always a non-negative integer (a refined Eulerian
-    number).  The polynomial is interpolated once for the whole row.
+    Entry j is coefficient d-j of the polynomial divided by C(d, d-j);
+    always a non-negative integer (a refined Eulerian number).
     """
-    poly = minkowski_poly(d, k)
     row = []
     for j in range(d + 1):
         value = poly.coefficient(d - j) / binomial(d, d - j)
         if value < 0:
-            raise NegativeResult(f"mixed_volume({d}, {k}, {j}) = {value}")
+            raise NegativeResult(f"mixed volume j={j} of a degree-{d} Minkowski polynomial = {value}")
         row.append(value)
     return tuple(row)
 
 
 def mixed_volume(d: int, k: int, j: int) -> Fraction:
     """j-th mixed volume of adjacent unit-cube slabs k and k+1: entry j
-    of mixed_volume_row(d, k)."""
+    of mixed_volume_row(minkowski_poly(d, k), d)."""
     _check_geometry_args(d, k, j)
-    return mixed_volume_row(d, k)[j]
+    return mixed_volume_row(minkowski_poly(d, k), d)[j]
 
 
 def _check_geometry_args(d: int, k: int, j: int) -> None:

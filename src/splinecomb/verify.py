@@ -2,9 +2,10 @@
 
 Each suite runs a family of exact cross-route checks and returns a
 VerifyReport; nothing here is statistical except the Monte Carlo suite,
-whose acceptance band (4 outward-rounded standard errors, at most one
-excursion per sweep) is part of its contract.  All suites are
-deterministic, including the pseudo-random sample points.
+whose acceptance band (geometry.mc_band: 4 outward-rounded standard
+errors of the exact slab probability, at most one excursion per sweep) is
+part of its contract.  All suites are deterministic, including the
+pseudo-random sample points.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def verify_geometry(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         refined = eulerian.refined_triangle(d, "explicit")
         for k in range(d + 1):
             poly = geometry.minkowski_poly(d, k)
-            mixed = geometry.mixed_volume_row(d, k)
+            mixed = geometry.mixed_volume_row(poly, d)
             rec.check(f"degree d={d} k={k}", True, poly.degree <= d)
             for j in range(d + 1):
                 rec.check(
@@ -236,22 +237,22 @@ def verify_mc(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     """Monte Carlo soundness sweep.
 
     A (slice, seed) pair is in excursion when the estimate misses the exact
-    volume by more than 4 outward-rounded standard errors.  One excursion
-    across the whole sweep is within contract; two or more are reported as
-    failures.
+    volume by more than geometry.mc_band.  One excursion across the whole
+    sweep is within contract; two or more are reported as failures.
     """
     rec = _Recorder("monte-carlo")
     excursions = []
     for label, spec, exact in mc_cases(config):
+        band = geometry.mc_band(spec, exact, config.mc_samples)
         for seed in config.mc_seeds:
             rec.cases += 1
             est = geometry.mc_volume(spec, config.mc_samples, seed)
-            if abs(est.estimate - exact) > 4 * est.standard_error:
+            if abs(est.estimate - exact) > band:
                 excursions.append(
                     (
                         f"{label} seed={seed}",
                         format_rational(exact),
-                        f"{format_rational(est.estimate)} +- {format_rational(est.standard_error)}",
+                        f"{format_rational(est.estimate)} +- {format_rational(band)}",
                     )
                 )
     if len(excursions) > 1:

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS/FAIL lines and timings.  Everything except the Monte Carlo criterion
-is bit-exact; the Monte Carlo sweep allows at most one 4-sigma excursion
-across all (slice, seed) pairs.
+is bit-exact; the Monte Carlo sweep allows at most one excursion outside
+geometry.mc_band across all (slice, seed) pairs.
 """
 
 import random
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from splinecomb import descent, eulerian, geometry, splinecore
 from splinecomb.numcore import binomial, factorial
-from splinecomb.verify import DEFAULT_MC_SEEDS
+from splinecomb.verify import DEFAULT_MC_SEEDS, VerifyConfig, mc_cases, verify_mc
 
 
 def _criterion(number: int, name: str, ok: bool, started: float, detail: str = ""):
@@ -138,26 +138,13 @@ def test_criterion_08_geometry_exact_bridge():
 
 def test_criterion_09_geometry_stochastic_bridge():
     started = time.perf_counter()
-    samples = 1_000_000
-    excursions = []
-    cases = []
-    for d in range(1, 7):
-        for k in range(1, d + 1):
-            cases.append((geometry.SliceSpec.cube_slice(d, k), eulerian.eulerian_spline(d, k)))
-    for d in range(1, 5):
-        for n in range(1, 4):
-            for k in range(d + 1):
-                cases.append(
-                    (geometry.SliceSpec.dilated_slice(d, n, k), descent.descent_spline(d, n, k))
-                )
-    for spec, exact in cases:
-        for seed in DEFAULT_MC_SEEDS:
-            est = geometry.mc_volume(spec, samples, seed)
-            if abs(est.estimate - exact) > 4 * est.standard_error:
-                excursions.append((spec, seed))
-    _criterion(9, "Monte Carlo within 4 standard errors (<= 1 excursion allowed)",
-               len(excursions) <= 1, started,
-               detail=f" excursions={excursions}" if excursions else "")
+    config = VerifyConfig(mc_samples=1_000_000)
+    report = verify_mc(config)
+    # 63 slabs (21 unit for d <= 6, 42 dilated for d <= 4, n <= 3), 3 seeds each
+    ok = report.ok and report.cases_run == len(mc_cases(config)) * len(DEFAULT_MC_SEEDS) == 189
+    _criterion(9, "Monte Carlo within geometry.mc_band (<= 1 excursion allowed), 189 pairs",
+               ok, started,
+               detail="" if ok else f" cases={report.cases_run} excursions={report.failures}")
 
 
 def test_criterion_10_cli_determinism():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splinecomb import descent
 from splinecomb.descent import (
     ROUTES,
     IndexedPermutation,
@@ -72,6 +73,16 @@ def test_explicit_examples():
 def test_recurrence_example():
     assert descent_recurrence_table(2, 2).values == (1, 6, 1)
     assert descent_recurrence_table(2, 1).values == (1, 1, 0)
+
+
+def test_recurrence_route_does_not_call_the_explicit_route(monkeypatch):
+    # Routes stay independent: a broken explicit route must show as a failed
+    # cross-route case, not escape from the recurrence route.
+    def broken(d, n, k):
+        raise AssertionError("explicit route called")
+
+    monkeypatch.setattr(descent, "descent_explicit", broken)
+    assert descent_recurrence_table(3, 2).values == (1, 23, 23, 1)
 
 
 def test_via_refined_example():

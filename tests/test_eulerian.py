@@ -11,7 +11,6 @@ from splinecomb import eulerian
 from splinecomb.descent import indexed_bruteforce
 from splinecomb.errors import TooLarge
 from splinecomb.eulerian import (
-    descent_count,
     eulerian_bruteforce,
     eulerian_row_spline,
     eulerian_spline,
@@ -34,6 +33,11 @@ CLASSIC_ROWS = {
     7: (1, 120, 1191, 2416, 1191, 120, 1),
     8: (1, 247, 4293, 15619, 15619, 4293, 247, 1),
 }
+
+
+def descent_count(perm):
+    # The one descent rule, every index 0: an ordinary permutation.
+    return eulerian._descents(perm, (0,) * len(perm))
 
 
 def test_descent_count():

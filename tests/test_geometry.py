@@ -13,6 +13,7 @@ from splinecomb.geometry import (
     _count_hits_exact,
     _count_hits_vector,
     _sqrt_upper_bound,
+    mc_band,
     mc_volume,
     minkowski_poly,
     mixed_volume,
@@ -107,6 +108,33 @@ def test_mc_dilated_slab_near_descent_value():
     assert abs(est.estimate - 6) <= 4 * est.standard_error
 
 
+def test_mc_band_is_not_zero_for_a_slab_without_hits():
+    # Slab 1 of the 8-cube has probability 1/8!, so 10^4 samples miss it.
+    spec = SliceSpec.cube_slice(8, 1)
+    est = mc_volume(spec, 10_000, 101)
+    assert est.hits == 0 and est.standard_error == 0
+    assert abs(est.estimate - 1) <= mc_band(spec, 1, 10_000)
+
+
+def test_mc_band_still_catches_a_wrong_exact_value():
+    spec = SliceSpec.cube_slice(4, 2)
+    exact = eulerian_spline(4, 2)
+    est = mc_volume(spec, 100_000, 101)
+    assert abs(est.estimate - exact) <= mc_band(spec, exact, 100_000)
+    for wrong in (exact - 1, exact + 1):
+        assert abs(est.estimate - wrong) > mc_band(spec, wrong, 100_000)
+
+
+def test_mc_band_is_four_outward_rounded_standard_errors():
+    # norm = 2! * 2^2 = 8; exact 6 gives sqrt(6 * 2 / 3) = 2, a perfect square
+    spec = SliceSpec.dilated_slice(2, 2, 1)
+    assert mc_band(spec, 6, 3) == 8
+    # sqrt(6 * 2 / 10^4) is irrational; the band rounds it up
+    band = mc_band(spec, 6, 10_000)
+    assert (band / 4) ** 2 >= Fraction(12, 10_000)
+    assert mc_band(spec, 0, 10) == mc_band(spec, 8, 10) == 0
+
+
 def test_exact_and_vector_hit_counts_agree():
     spec = SliceSpec.cube_slice(2, 1)
     assert _count_hits_exact(spec, 5000, 7) == _count_hits_vector(spec, 5000, 7) == 2547
@@ -186,7 +214,7 @@ def test_mixed_volume_examples():
 @pytest.mark.parametrize("d", range(1, 9))
 def test_mixed_volume_grid_matches_refined_triangle(d):
     for k in range(d + 1):
-        row = mixed_volume_row(d, k)
+        row = mixed_volume_row(minkowski_poly(d, k), d)
         assert len(row) == d + 1
         for j in range(d + 1):
             value = mixed_volume(d, k, j)
@@ -202,7 +230,7 @@ def test_geometry_argument_validation():
     with pytest.raises(ValueError):
         mixed_volume(3, 0, 4)
     with pytest.raises(ValueError):
-        mixed_volume_row(3, 4)
+        mixed_volume(3, 4, 0)
 
 
 @settings(max_examples=25, deadline=None)

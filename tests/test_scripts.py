@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -43,3 +45,22 @@ def test_log_concavity_margins():
     header, *rows = result.stdout.splitlines()
     assert header == "d,n,min_margin,min_normalized_margin"
     assert [tuple(row.split(",")[:2]) for row in rows] == [("2", "1"), ("2", "2"), ("3", "1"), ("3", "2")]
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("mc_volume_sweep.py", ("--samples", "0")),
+        ("mc_volume_sweep.py", ("--d-max", "0")),
+        ("mc_volume_sweep.py", ("--n-max", "-1")),
+        ("mc_volume_sweep.py", ("--dilated-d-max", "0")),
+        ("mc_volume_sweep.py", ("--seeds", "1,x")),
+        ("log_concavity_margins.py", ("--n-max", "0")),
+        ("log_concavity_margins.py", ("--d-max", "1")),
+    ],
+)
+def test_empty_or_invalid_sweeps_are_usage_errors(name, args):
+    result = run_script(name, *args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
