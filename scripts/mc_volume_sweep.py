@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Monte Carlo volume sweep: estimated vs exact slab volumes.
 
-Runs the deterministic estimator over every unit-cube slab up to --d-max
-and every dilated slab up to --dilated-d-max / --n-max (the sweep of the
-Monte Carlo verify suite, with its slice labels), for each seed, and
+Runs the sweep of the Monte Carlo verify suite (verify.mc_pairs, with its
+slice labels): every unit-cube slab up to --d-max and every dilated slab
+up to --dilated-d-max at dilations n = 2..--n-max + 1, for each seed.  It
 prints one CSV row per (slice, seed) with the exact value, the estimate,
 its outward-rounded standard error, and whether the estimate sits inside
 the acceptance band of the verify suite (geometry.mc_band).  All numbers
@@ -17,13 +17,12 @@ import argparse
 import sys
 
 from splinecomb.cli import _positive_int
-from splinecomb.geometry import mc_band, mc_volume
 from splinecomb.numcore import format_rational
-from splinecomb.verify import VerifyConfig, mc_cases
+from splinecomb.verify import VerifyConfig, mc_pairs
 
 
-def _seed_list(text: str) -> list[int]:
-    return [int(seed) for seed in text.split(",")]
+def _seed_list(text: str) -> tuple[int, ...]:
+    return tuple(int(seed) for seed in text.split(","))
 
 
 def main(argv=None) -> int:
@@ -38,25 +37,23 @@ def main(argv=None) -> int:
 
     print("slice,seed,exact,estimate,standard_error,within_4_sigma")
     excursions = 0
-    config = VerifyConfig(d_max=args.d_max, n_max=args.n_max, mc_dilated_d_max=args.dilated_d_max)
-    for label, spec, exact in mc_cases(config):
-        band = mc_band(spec, exact, args.samples)
-        for seed in args.seeds:
-            est = mc_volume(spec, args.samples, seed)
-            inside = abs(est.estimate - exact) <= band
-            excursions += not inside
-            print(
-                ",".join(
-                    [
-                        label,
-                        str(seed),
-                        format_rational(exact),
-                        format_rational(est.estimate),
-                        format_rational(est.standard_error),
-                        "yes" if inside else "NO",
-                    ]
-                )
+    config = VerifyConfig(d_max=args.d_max, n_max=args.n_max, mc_samples=args.samples, mc_seeds=args.seeds,
+                          mc_dilated_d_max=args.dilated_d_max)
+    for label, seed, exact, est, band in mc_pairs(config):
+        inside = abs(est.estimate - exact) <= band
+        excursions += not inside
+        print(
+            ",".join(
+                [
+                    label,
+                    str(seed),
+                    format_rational(exact),
+                    format_rational(est.estimate),
+                    format_rational(est.standard_error),
+                    "yes" if inside else "NO",
+                ]
             )
+        )
     print(f"# excursions: {excursions}", file=sys.stderr)
     return 0 if excursions <= 1 else 1
 

@@ -7,10 +7,14 @@ slabs, whose coefficients are refined Eulerian numbers.
 
 Volumes are normalized so the d-cube has volume d!, which makes every slab
 volume an integer.  The Monte Carlo estimator is fully deterministic: the
-PRNG is splitmix64 (additive constant 0x9E3779B97F4A7C15, multiplies
-0xBF58476D1CE4E5B9 and 0x94D049BB133111EB), a coordinate is
-(output >> 11) / 2^53 scaled by the dilation, and the hit test is exact
-integer arithmetic, so estimates are reproducible bit-for-bit.
+PRNG is splitmix64 (additive constant 0x9E3779B97F4A7C15, then one output
+mix `_mix` with multipliers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB for
+both the scalar stream and the vectorized blocks).  A coordinate is
+(output >> 11) / 2^53 scaled by the dilation, so a sample hits the slab
+exactly when the integer sum U of its d raw coordinates lies in the integer
+range [ceil(lower 2^53 / scale), floor(upper 2^53 / scale)].  The dimension
+alone picks the counter: numpy int64 for d <= 512, Python integers above.
+Both count the same hits, so estimates are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
+from math import ceil, floor, isqrt
 
 import numpy as np
 
@@ -33,9 +37,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _COORD_BITS = 53
 
-# Above this magnitude the vectorized int64 hit test could overflow, so the
-# exact big-integer path takes over.
-_INT64_SAFE = 1 << 62
+# SliceSpec keeps 0 <= lower <= upper <= scale * d, so U and its hit range lie
+# in [0, d * 2^53]: while d * (2^53 - 1) < 2^62 (d <= 512) they fit in int64.
+_VECTOR_D_MAX = ((1 << 62) - 1) // ((1 << _COORD_BITS) - 1)
 
 _CHUNK_SAMPLES = 1 << 18
 
@@ -90,14 +94,19 @@ class VolumeEstimate:
     hits: int
 
 
+def _mix(z):
+    """splitmix64's output mix of `z`: a Python int, or a numpy uint64 array elementwise."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
 def _splitmix64(seed: int):
     """Endless scalar splitmix64 output stream started from `seed`."""
     state = seed & _MASK64
     while True:
         state = (state + _GAMMA) & _MASK64
-        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        yield z ^ (z >> 31)
+        yield _mix(state)
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
@@ -112,25 +121,20 @@ def _splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
     so any block of the stream can be produced directly.
     """
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + idx * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    return _mix(np.uint64(seed & _MASK64) + idx * np.uint64(_GAMMA))
 
 
-def _hit_bounds(spec: SliceSpec) -> tuple[int, int, int, int]:
-    """Integerized hit test: lower <= scale * U / 2^53 <= upper becomes
-    lo_lhs <= lo_mul * U  and  hi_mul * U <= hi_rhs, with U the integer
-    sum of the d raw 53-bit coordinates of one sample."""
-    lo_lhs = spec.lower.numerator << _COORD_BITS
-    lo_mul = spec.lower.denominator * spec.scale
-    hi_rhs = spec.upper.numerator << _COORD_BITS
-    hi_mul = spec.upper.denominator * spec.scale
-    return lo_lhs, lo_mul, hi_rhs, hi_mul
+def _hit_range(spec: SliceSpec) -> tuple[int, int]:
+    """Integer range [lo, hi] of the hit test on U, the sum of the d raw
+    53-bit coordinates of one sample: lower <= scale * U / 2^53 <= upper
+    holds exactly when lo <= U <= hi, as U is an integer and scale > 0."""
+    lo = ceil(spec.lower * (1 << _COORD_BITS) / spec.scale)
+    hi = floor(spec.upper * (1 << _COORD_BITS) / spec.scale)
+    return lo, hi
 
 
 def _count_hits_vector(spec: SliceSpec, samples: int, seed: int) -> int:
-    lo_lhs, lo_mul, hi_rhs, hi_mul = _hit_bounds(spec)
+    lo, hi = _hit_range(spec)
     d = spec.d
     hits = 0
     done = 0
@@ -138,20 +142,19 @@ def _count_hits_vector(spec: SliceSpec, samples: int, seed: int) -> int:
         n = min(_CHUNK_SAMPLES, samples - done)
         u = _splitmix64_block(seed, done * d, n * d) >> np.uint64(11)
         total = u.astype(np.int64).reshape(n, d).sum(axis=1)
-        ok = (lo_mul * total >= lo_lhs) & (hi_mul * total <= hi_rhs)
-        hits += int(np.count_nonzero(ok))
+        hits += int(np.count_nonzero((total >= lo) & (total <= hi)))
         done += n
     return hits
 
 
 def _count_hits_exact(spec: SliceSpec, samples: int, seed: int) -> int:
-    lo_lhs, lo_mul, hi_rhs, hi_mul = _hit_bounds(spec)
+    lo, hi = _hit_range(spec)
     d = spec.d
     hits = 0
     stream = _splitmix64(seed)
     for _ in range(samples):
         total = sum(z >> 11 for z in islice(stream, d))
-        if lo_lhs <= lo_mul * total and hi_mul * total <= hi_rhs:
+        if lo <= total <= hi:
             hits += 1
     return hits
 
@@ -180,13 +183,7 @@ def mc_volume(spec: SliceSpec, samples: int, seed: int) -> VolumeEstimate:
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    lo_lhs, lo_mul, hi_rhs, hi_mul = _hit_bounds(spec)
-    max_total = spec.d * ((1 << _COORD_BITS) - 1)
-    if (
-        max(abs(lo_lhs), abs(hi_rhs)) < _INT64_SAFE
-        and lo_mul * max_total < _INT64_SAFE
-        and hi_mul * max_total < _INT64_SAFE
-    ):
+    if spec.d <= _VECTOR_D_MAX:
         hits = _count_hits_vector(spec, samples, seed)
     else:
         hits = _count_hits_exact(spec, samples, seed)

@@ -140,7 +140,7 @@ def test_criterion_09_geometry_stochastic_bridge():
     started = time.perf_counter()
     config = VerifyConfig(mc_samples=1_000_000)
     report = verify_mc(config)
-    # 63 slabs (21 unit for d <= 6, 42 dilated for d <= 4, n <= 3), 3 seeds each
+    # 63 slabs (21 unit for d <= 6, 42 dilated for d <= 4, n = 2..4), 3 seeds each
     ok = report.ok and report.cases_run == len(mc_cases(config)) * len(DEFAULT_MC_SEEDS) == 189
     _criterion(9, "Monte Carlo within geometry.mc_band (<= 1 excursion allowed), 189 pairs",
                ok, started,

@@ -85,6 +85,14 @@ def test_recurrence_route_does_not_call_the_explicit_route(monkeypatch):
     assert descent_recurrence_table(3, 2).values == (1, 23, 23, 1)
 
 
+def test_recurrence_route_does_not_depend_on_factorial(monkeypatch):
+    # The row-sum comparison is the verify suite's conservation case; a broken
+    # factorial must show there as a failed case, not escape from this route.
+    expected = descent_recurrence_table(4, 3)
+    monkeypatch.setattr(descent, "factorial", lambda m: factorial(m) + 1)
+    assert descent_recurrence_table(4, 3) == expected
+
+
 def test_via_refined_example():
     assert descent_via_refined(2, 2, 1) == 6
     assert descent_via_refined(2, 1, 1) == 1

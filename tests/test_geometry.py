@@ -88,6 +88,7 @@ def test_mc_determinism_and_frozen_values():
     assert est.estimate == Fraction(4957, 5000)
     other_seed = mc_volume(spec, 10_000, 43)
     assert other_seed.hits != est.hits
+    assert _count_hits_exact(spec, 5000, 7) == _count_hits_vector(spec, 5000, 7) == 2547
 
 
 def test_mc_seed_is_reported_mod_2_64():
@@ -135,15 +136,37 @@ def test_mc_band_is_four_outward_rounded_standard_errors():
     assert mc_band(spec, 0, 10) == mc_band(spec, 8, 10) == 0
 
 
-def test_exact_and_vector_hit_counts_agree():
-    spec = SliceSpec.cube_slice(2, 1)
-    assert _count_hits_exact(spec, 5000, 7) == _count_hits_vector(spec, 5000, 7) == 2547
-    spec3 = SliceSpec.dilated_slice(3, 2, 1)
-    assert _count_hits_exact(spec3, 2000, 99) == _count_hits_vector(spec3, 2000, 99)
+@st.composite
+def slice_specs(draw):
+    """Random slabs, with scales up to 3 * 10^18 and bound denominators up
+    to 2^70 + 1: far past int64 before the hit test is reduced to a range."""
+    d = draw(st.integers(min_value=1, max_value=7))
+    scale = draw(st.one_of(st.integers(1, 5), st.integers(10**18, 3 * 10**18)))
+    bounds = []
+    for _ in range(2):
+        den = draw(st.one_of(st.integers(1, 1000), st.integers(2**62, 2**70 + 1)))
+        bounds.append(Fraction(draw(st.integers(0, scale * d * den)), den))
+    lower, upper = sorted(bounds)
+    return SliceSpec(d=d, scale=scale, lower=lower, upper=upper)
 
 
-def test_huge_denominators_take_exact_path():
-    # denominator large enough to overflow the int64 fast path
+@settings(max_examples=80, deadline=None)
+@given(slice_specs(), st.integers(1, 300), st.integers(-(2**65), 2**65))
+def test_exact_and_vector_hit_counts_agree(spec, samples, seed):
+    assert _count_hits_vector(spec, samples, seed) == _count_hits_exact(spec, samples, seed)
+
+
+@pytest.mark.parametrize("d", [512, 1100])
+def test_hit_counts_on_both_sides_of_the_int64_dimension_limit(d):
+    # d = 512 is the last dimension counted in int64; at d = 1100 an int64
+    # coordinate sum could overflow, so mc_volume counts in Python integers.
+    spec = SliceSpec(d=d, scale=1, lower=Fraction(d, 2) - 4, upper=Fraction(d, 2) + 4)
+    est = mc_volume(spec, 40, 17)
+    assert 0 < est.hits < 40
+    assert est.hits == _count_hits_exact(spec, 40, 17)
+
+
+def test_huge_denominator_bound_keeps_the_hits_of_its_rounded_slab():
     tiny = Fraction(1, 3 * 10**18)
     spec = SliceSpec(d=2, scale=1, lower=tiny, upper=Fraction(1))
     est = mc_volume(spec, 2000, 3)

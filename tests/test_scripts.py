@@ -28,14 +28,14 @@ def test_mc_volume_sweep():
     assert result.returncode == 0, result.stderr
     header, *rows = result.stdout.splitlines()
     assert header == "slice,seed,exact,estimate,standard_error,within_4_sigma"
-    # 3 unit slabs (d <= 2) and 2 dilated ones (d = n = 1), each at 3 default seeds
+    # 3 unit slabs (d <= 2) and 2 dilated ones (d = 1, n = 2), each at 3 default seeds
     assert len(rows) == 5 * 3
     assert [row.split(",")[0] for row in rows[::3]] == [
         "unit d=1 k=1",
         "unit d=2 k=1",
         "unit d=2 k=2",
-        "dilated d=1 n=1 k=0",
-        "dilated d=1 n=1 k=1",
+        "dilated d=1 n=2 k=0",
+        "dilated d=1 n=2 k=1",
     ]
 
 

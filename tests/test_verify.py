@@ -68,14 +68,16 @@ def test_verify_all_composition():
 
 
 def test_mc_case_sweep_shape():
-    cases = mc_cases(SMALL)
-    labels = [label for label, _, _ in cases]
-    # unit-cube slabs for every d <= 3, dilated slabs for d <= 3, n <= 2
+    labels = [label for label, _, _ in mc_cases(SMALL)]
+    # unit-cube slabs for every d <= 3, dilated slabs for d <= 3, n = 2..3
     assert sum(1 for lbl in labels if lbl.startswith("unit")) == 1 + 2 + 3
     assert sum(1 for lbl in labels if lbl.startswith("dilated")) == 2 * (2 + 3 + 4)
-    for _, spec, exact in cases:
-        assert exact >= 0
-        assert 0 <= spec.lower <= spec.upper <= spec.scale * spec.d
+    for config, slabs in ((SMALL, 24), (VerifyConfig(), 63), (VerifyConfig(d_max=9), 87)):
+        cases = mc_cases(config)
+        assert len(cases) == len({spec for _, spec, _ in cases}) == slabs
+        for _, spec, exact in cases:
+            assert exact > 0
+            assert 0 <= spec.lower <= spec.upper <= spec.scale * spec.d
 
 
 def test_mc_suite_has_no_false_failures_at_small_sample_counts():
