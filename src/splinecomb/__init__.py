@@ -43,6 +43,7 @@ from .geometry import (
     SliceSpec,
     VolumeEstimate,
     mc_volume,
+    mc_volumes,
     minkowski_poly,
     mixed_volume,
     mixed_volume_row,

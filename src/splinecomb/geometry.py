@@ -12,9 +12,13 @@ mix `_mix` with multipliers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB for
 both the scalar stream and the vectorized blocks).  A coordinate is
 (output >> 11) / 2^53 scaled by the dilation, so a sample hits the slab
 exactly when the integer sum U of its d raw coordinates lies in the integer
-range [ceil(lower 2^53 / scale), floor(upper 2^53 / scale)].  The dimension
+range [ceil(lower 2^53 / scale), floor(upper 2^53 / scale)].  The samples
+depend on (d, samples, seed) alone, so `mc_volumes`, the batched entry,
+draws one stream per d and tests each sample's U against the hit range of
+every slab of that d; `mc_volume` is its one-slab case.  The dimension
 alone picks the counter: numpy int64 for d <= 512, Python integers above.
 Both count the same hits, so estimates are reproducible bit-for-bit.
+numpy is imported by the vector counter only, not with this module.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import ceil, floor, isqrt
-
-import numpy as np
 
 from .errors import NegativeResult
 from .numcore import binomial, factorial
@@ -41,7 +43,8 @@ _COORD_BITS = 53
 # in [0, d * 2^53]: while d * (2^53 - 1) < 2^62 (d <= 512) they fit in int64.
 _VECTOR_D_MAX = ((1 << 62) - 1) // ((1 << _COORD_BITS) - 1)
 
-_CHUNK_SAMPLES = 1 << 18
+# Samples per vector chunk: at d = 6 a chunk's block is 768 KiB of uint64.
+_CHUNK_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,14 @@ def splitmix64_stream(seed: int, count: int) -> list[int]:
     return list(islice(_splitmix64(seed), count))
 
 
-def _splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start+1 .. start+count of the stream, vectorized.
+def _splitmix64_block(seed: int, start: int, count: int):
+    """Outputs start+1 .. start+count of the stream as a numpy uint64 array.
 
     splitmix64 is counter-based: output i is the mix of seed + i * gamma,
     so any block of the stream can be produced directly.
     """
+    import numpy as np
+
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     return _mix(np.uint64(seed & _MASK64) + idx * np.uint64(_GAMMA))
 
@@ -133,29 +138,35 @@ def _hit_range(spec: SliceSpec) -> tuple[int, int]:
     return lo, hi
 
 
-def _count_hits_vector(spec: SliceSpec, samples: int, seed: int) -> int:
-    lo, hi = _hit_range(spec)
-    d = spec.d
-    hits = 0
+def _count_hits_vector(d: int, ranges: list[tuple[int, int]], samples: int, seed: int) -> list[int]:
+    """Hits of each [lo, hi] in `ranges` among the first `samples` samples
+    of dimension d, with U summed in numpy int64 one chunk at a time."""
+    import numpy as np
+
+    lo, hi = np.array(ranges, dtype=np.int64).T
+    hits = np.zeros(len(ranges), dtype=np.int64)
     done = 0
     while done < samples:
         n = min(_CHUNK_SAMPLES, samples - done)
         u = _splitmix64_block(seed, done * d, n * d) >> np.uint64(11)
-        total = u.astype(np.int64).reshape(n, d).sum(axis=1)
-        hits += int(np.count_nonzero((total >= lo) & (total <= hi)))
+        total = np.sort(u.view(np.int64).reshape(n, d).sum(axis=1))
+        # #(U <= hi) - #(U < lo) counts lo <= U <= hi, as lower <= upper
+        # keeps hi >= lo - 1.
+        hits += np.searchsorted(total, hi, side="right") - np.searchsorted(total, lo, side="left")
         done += n
-    return hits
+    return [int(h) for h in hits]
 
 
-def _count_hits_exact(spec: SliceSpec, samples: int, seed: int) -> int:
-    lo, hi = _hit_range(spec)
-    d = spec.d
-    hits = 0
+def _count_hits_exact(d: int, ranges: list[tuple[int, int]], samples: int, seed: int) -> list[int]:
+    """Hits of each [lo, hi] in `ranges` among the first `samples` samples
+    of dimension d, with U summed in Python integers."""
+    hits = [0] * len(ranges)
     stream = _splitmix64(seed)
     for _ in range(samples):
         total = sum(z >> 11 for z in islice(stream, d))
-        if lo <= total <= hi:
-            hits += 1
+        for i, (lo, hi) in enumerate(ranges):
+            if lo <= total <= hi:
+                hits[i] += 1
     return hits
 
 
@@ -172,21 +183,33 @@ def _sqrt_upper_bound(value: Fraction) -> Fraction:
     return Fraction(root + 1, m)
 
 
-def mc_volume(spec: SliceSpec, samples: int, seed: int) -> VolumeEstimate:
-    """Deterministic Monte Carlo estimate of the normalized slab volume.
+def mc_volumes(specs, samples: int, seed: int) -> tuple[VolumeEstimate, ...]:
+    """Deterministic Monte Carlo estimates of the normalized volumes of
+    `specs`, one per spec in input order.
 
-    Draws `samples` points uniformly from the dilated cube and counts those
-    whose coordinate sum lies in the (closed) slab.  The estimate is
-    d! * scale^d * hits / samples; the standard error is the binomial one
-    of the estimate, rounded outward to a rational.  Acceptance against an
-    exact volume uses mc_band, not this error.
+    Each slab's estimate uses `samples` points drawn uniformly from its
+    dilated cube and counts those whose coordinate sum lies in the (closed)
+    slab.  The points of dimension d depend on (d, samples, seed) alone, so
+    the stream is drawn once per d and every slab of that d is counted from
+    it.  The estimate is d! * scale^d * hits / samples; the standard error
+    is the binomial one of the estimate, rounded outward to a rational.
+    Acceptance against an exact volume uses mc_band, not this error.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if spec.d <= _VECTOR_D_MAX:
-        hits = _count_hits_vector(spec, samples, seed)
-    else:
-        hits = _count_hits_exact(spec, samples, seed)
+    specs = tuple(specs)
+    ranges: dict[int, list[tuple[int, int]]] = {}
+    for spec in specs:
+        ranges.setdefault(spec.d, []).append(_hit_range(spec))
+    # one iterator of hit counts per d, read back in input order
+    hits = {
+        d: iter((_count_hits_vector if d <= _VECTOR_D_MAX else _count_hits_exact)(d, r, samples, seed))
+        for d, r in ranges.items()
+    }
+    return tuple(_volume_estimate(spec, next(hits[spec.d]), samples, seed) for spec in specs)
+
+
+def _volume_estimate(spec: SliceSpec, hits: int, samples: int, seed: int) -> VolumeEstimate:
     norm = factorial(spec.d) * spec.scale**spec.d
     p_hat = Fraction(hits, samples)
     stderr = norm * _sqrt_upper_bound(p_hat * (1 - p_hat) / samples)
@@ -197,6 +220,11 @@ def mc_volume(spec: SliceSpec, samples: int, seed: int) -> VolumeEstimate:
         seed=seed & _MASK64,
         hits=hits,
     )
+
+
+def mc_volume(spec: SliceSpec, samples: int, seed: int) -> VolumeEstimate:
+    """Monte Carlo estimate of one slab: mc_volumes((spec,), samples, seed)[0]."""
+    return mc_volumes((spec,), samples, seed)[0]
 
 
 def mc_band(spec: SliceSpec, exact: int, samples: int) -> Fraction:

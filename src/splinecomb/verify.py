@@ -237,11 +237,16 @@ def mc_cases(config: VerifyConfig = VerifyConfig()):
 
 def mc_pairs(config: VerifyConfig = VerifyConfig()):
     """Yield (label, seed, exact, estimate, band) for each (slab, seed) pair
-    of the Monte Carlo sweep: a geometry.VolumeEstimate and its mc_band."""
-    for label, spec, exact in mc_cases(config):
+    of the Monte Carlo sweep: a geometry.VolumeEstimate and its mc_band.
+    Each seed's estimates come from one geometry.mc_volumes call over every
+    slab, so each (d, seed) sample stream is drawn once."""
+    cases = mc_cases(config)
+    specs = [spec for _, spec, _ in cases]
+    per_seed = [geometry.mc_volumes(specs, config.mc_samples, seed) for seed in config.mc_seeds]
+    for i, (label, spec, exact) in enumerate(cases):
         band = geometry.mc_band(spec, exact, config.mc_samples)
-        for seed in config.mc_seeds:
-            yield label, seed, exact, geometry.mc_volume(spec, config.mc_samples, seed), band
+        for seed, estimates in zip(config.mc_seeds, per_seed):
+            yield label, seed, exact, estimates[i], band
 
 
 def verify_mc(config: VerifyConfig = VerifyConfig()) -> VerifyReport:

@@ -1,5 +1,6 @@
 """Volume experiments: deterministic Monte Carlo and exact Minkowski recovery."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,12 @@ from splinecomb.geometry import (
     SliceSpec,
     _count_hits_exact,
     _count_hits_vector,
+    _hit_range,
     _sqrt_upper_bound,
+    _volume_estimate,
     mc_band,
     mc_volume,
+    mc_volumes,
     minkowski_poly,
     mixed_volume,
     mixed_volume_row,
@@ -22,6 +26,7 @@ from splinecomb.geometry import (
 )
 from splinecomb.numcore import binomial, factorial
 from splinecomb.polyring import Polynomial
+from splinecomb.verify import VerifyConfig, mc_pairs
 
 # Frozen from the scalar splitmix64 definition (additive constant
 # 0x9E3779B97F4A7C15, multipliers 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB).
@@ -88,7 +93,20 @@ def test_mc_determinism_and_frozen_values():
     assert est.estimate == Fraction(4957, 5000)
     other_seed = mc_volume(spec, 10_000, 43)
     assert other_seed.hits != est.hits
-    assert _count_hits_exact(spec, 5000, 7) == _count_hits_vector(spec, 5000, 7) == 2547
+    ranges = [_hit_range(spec)]
+    assert _count_hits_exact(2, ranges, 5000, 7) == _count_hits_vector(2, ranges, 5000, 7) == [2547]
+
+
+# SHA-256 of "<label> seed=<seed> hits=<hits>\n" over mc_pairs at 10^4 samples,
+# frozen from the estimator that counted one slab per stream draw.
+SWEEP_HITS_SHA256 = "bbc36691430a80a6677b7a3bdb63f03ec5e079dbd28cfe147217709bb5c9a2cb"
+
+
+def test_sweep_hits_match_the_frozen_digest():
+    pairs = list(mc_pairs(VerifyConfig(mc_samples=10_000)))
+    assert len(pairs) == 189
+    text = "".join(f"{label} seed={seed} hits={est.hits}\n" for label, seed, _, est, _ in pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_HITS_SHA256
 
 
 def test_mc_seed_is_reported_mod_2_64():
@@ -153,7 +171,34 @@ def slice_specs(draw):
 @settings(max_examples=80, deadline=None)
 @given(slice_specs(), st.integers(1, 300), st.integers(-(2**65), 2**65))
 def test_exact_and_vector_hit_counts_agree(spec, samples, seed):
-    assert _count_hits_vector(spec, samples, seed) == _count_hits_exact(spec, samples, seed)
+    ranges = [_hit_range(spec)]
+    assert _count_hits_vector(spec.d, ranges, samples, seed) == _count_hits_exact(spec.d, ranges, samples, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(slice_specs(), min_size=1, max_size=8), st.integers(1, 300), st.integers(-(2**65), 2**65))
+def test_batched_estimates_equal_one_slab_at_a_time(specs, samples, seed):
+    estimates = mc_volumes(specs, samples, seed)
+    assert len(estimates) == len(specs)
+    for spec, est in zip(specs, estimates):
+        hits = _count_hits_exact(spec.d, [_hit_range(spec)], samples, seed)
+        assert est == _volume_estimate(spec, hits[0], samples, seed)
+
+
+def test_batched_estimates_across_the_int64_dimension_limit():
+    # one call mixing both counters keeps each slab's single-slab estimate,
+    # down to an empty hit range (lower = upper off the 2^-53 grid)
+    specs = [
+        SliceSpec(d=1100, scale=1, lower=Fraction(546), upper=Fraction(554)),
+        SliceSpec.cube_slice(2, 1),
+        SliceSpec(d=2, scale=3, lower=Fraction(1, 3), upper=Fraction(1, 3)),
+        SliceSpec(d=1100, scale=1, lower=Fraction(0), upper=Fraction(550)),
+        SliceSpec.dilated_slice(2, 2, 1),
+    ]
+    assert mc_volumes(specs, 40, 17) == tuple(mc_volume(spec, 40, 17) for spec in specs)
+    assert mc_volumes((), 40, 17) == ()
+    with pytest.raises(ValueError):
+        mc_volumes(specs, 0, 17)
 
 
 @pytest.mark.parametrize("d", [512, 1100])
@@ -163,7 +208,7 @@ def test_hit_counts_on_both_sides_of_the_int64_dimension_limit(d):
     spec = SliceSpec(d=d, scale=1, lower=Fraction(d, 2) - 4, upper=Fraction(d, 2) + 4)
     est = mc_volume(spec, 40, 17)
     assert 0 < est.hits < 40
-    assert est.hits == _count_hits_exact(spec, 40, 17)
+    assert [est.hits] == _count_hits_exact(d, [_hit_range(spec)], 40, 17)
 
 
 def test_huge_denominator_bound_keeps_the_hits_of_its_rounded_slab():

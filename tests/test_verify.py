@@ -107,6 +107,20 @@ def test_geometry_suite_rebuilds_each_minkowski_polynomial_every_run(monkeypatch
         assert len(calls) == sum(d + 1 for d in range(1, config.d_max + 1))
 
 
+def test_mc_suite_draws_each_stream_once_per_dimension_and_seed(monkeypatch):
+    # Every slab of one d shares that d's stream, so a run draws
+    # sum over distinct d of d * samples coordinates per seed, and no more.
+    drawn = []
+    block = geometry._splitmix64_block
+    monkeypatch.setattr(
+        geometry, "_splitmix64_block", lambda seed, start, count: drawn.append(count) or block(seed, start, count)
+    )
+    config = VerifyConfig()
+    assert verify_mc(config).ok
+    dims = {spec.d for _, spec, _ in mc_cases(config)}
+    assert sum(drawn) == sum(dims) * config.mc_samples * len(config.mc_seeds) == 21 * 300_000
+
+
 def test_suites_are_deterministic():
     a = verify_bspline(SMALL)
     b = verify_bspline(SMALL)
