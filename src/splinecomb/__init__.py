@@ -9,7 +9,6 @@ geometric witness.
 
 from .descent import (
     DescentTable,
-    IndexedPermutation,
     descent_explicit,
     descent_recurrence_table,
     descent_spline,
@@ -45,11 +44,9 @@ from .geometry import (
     mc_volume,
     mc_volumes,
     minkowski_poly,
-    mixed_volume,
     mixed_volume_row,
 )
 from .numcore import (
-    Rational,
     binomial,
     factorial,
     format_rational,

@@ -45,6 +45,15 @@ _D = _required("--d", _positive_int)
 _N = _required("--n", _positive_int)
 _D_MAX = ("--d-max", {"type": _positive_int, "default": 6})
 _N_MAX = ("--n-max", {"type": _positive_int, "default": 3})
+# Only the leaves that may enumerate take a budget.
+_BUDGET = (
+    "--budget",
+    {
+        "type": _positive_int,
+        "default": DEFAULT_ENUMERATION_BUDGET,
+        "help": "most objects any brute-force enumeration may visit",
+    },
+)
 
 
 @dataclass(frozen=True)
@@ -138,26 +147,26 @@ def _leaves() -> dict[str, _Leaf]:
         ),
         "eulerian row": _Leaf(
             "row of Eulerian numbers",
-            (_D, _route(eulerian.ROW_ROUTES)),
+            (_D, _route(eulerian.ROW_ROUTES), _BUDGET),
             lambda a: eulerian.ROW_ROUTES[a.route](a.d, a.budget),
             _eulerian_row,
             ("d", "route"),
         ),
         "eulerian refined": _Leaf(
             "refined triangle for S_{d+1}",
-            (_D, _route(eulerian.REFINED_ROUTES)),
+            (_D, _route(eulerian.REFINED_ROUTES), _BUDGET),
             lambda a: eulerian.refined_triangle(a.d, a.route, a.budget),
             _refined,
             ("d", "route"),
         ),
         "eulerian verify": _Leaf(
             "Eulerian identity suite",
-            (_D_MAX,),
+            (_D_MAX, _BUDGET),
             lambda a: [verify.verify_eulerian(VerifyConfig(d_max=a.d_max, budget=a.budget))],
         ),
         "descent table": _Leaf(
             "descent histogram for (d, n)",
-            (_D, _N, _route(descent.TABLE_ROUTES)),
+            (_D, _N, _route(descent.TABLE_ROUTES), _BUDGET),
             lambda a: descent.descent_table(a.d, a.n, a.route, budget=a.budget),
             _descent_table,
             ("d", "n", "route"),
@@ -171,7 +180,7 @@ def _leaves() -> dict[str, _Leaf]:
         ),
         "descent verify": _Leaf(
             "descent identity suite",
-            (_D_MAX, _N_MAX),
+            (_D_MAX, _N_MAX, _BUDGET),
             lambda a: [
                 verify.verify_descent(VerifyConfig(d_max=a.d_max, n_max=a.n_max, budget=a.budget))
             ],
@@ -209,6 +218,7 @@ def _leaves() -> dict[str, _Leaf]:
                     "--samples",
                     {"type": _positive_int, "default": 100_000, "help": "Monte Carlo samples per slice/seed"},
                 ),
+                _BUDGET,
             ),
             lambda a: verify.verify_all(
                 VerifyConfig(d_max=a.d_max, n_max=a.n_max, budget=a.budget, mc_samples=a.samples)
@@ -220,12 +230,6 @@ def _leaves() -> dict[str, _Leaf]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    common.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=DEFAULT_ENUMERATION_BUDGET,
-        help="most objects any brute-force enumeration may visit",
-    )
     parser = argparse.ArgumentParser(prog="splinecomb", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, NonIntegerResult
-from .eulerian import _descent_grid, _descent_marginal, _descents, refined_explicit
+from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult
+from .eulerian import _as_int, _descent_grid, _descent_marginal, refined_explicit
 from .numcore import binomial, factorial
 from .polyring import Polynomial
 from .splinecore import bspline_eval_explicit
@@ -29,16 +29,17 @@ from .splinecore import bspline_eval_explicit
 
 @dataclass(frozen=True)
 class DescentTable:
-    """Exact descent histogram for fixed (d, n) and its generating polynomial.
-
-    values[k] holds DT(d, n, k) for k = 0..d; polynomial is
-    sum_k values[k] * t^k.
-    """
+    """Exact descent histogram for fixed (d, n): values[k] holds DT(d, n, k)
+    for k = 0..d."""
 
     d: int
     n: int
     values: tuple[int, ...]
-    polynomial: Polynomial
+
+    @property
+    def polynomial(self) -> Polynomial:
+        """The generating polynomial D_d^n(t) = sum_k values[k] * t^k."""
+        return Polynomial(self.values)
 
     def value(self, k: int) -> int:
         if 0 <= k <= self.d:
@@ -46,29 +47,8 @@ class DescentTable:
         return 0
 
 
-@dataclass(frozen=True)
-class IndexedPermutation:
-    """A permutation of {1..d} with an index in {0..n-1} on each letter."""
-
-    letters: tuple[int, ...]
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        d = len(self.letters)
-        if sorted(self.letters) != list(range(1, d + 1)):
-            raise ValueError(f"letters {self.letters} are not a permutation of 1..{d}")
-        if len(self.indices) != d:
-            raise ValueError("one index per letter required")
-        if any(e < 0 for e in self.indices):
-            raise ValueError("indices must be non-negative")
-
-    def descent_count(self) -> int:
-        return _descents(self.letters, self.indices)
-
-
 def _make_table(d: int, n: int, values) -> DescentTable:
-    values = tuple(int(v) for v in values)
-    return DescentTable(d=d, n=n, values=values, polynomial=Polynomial(values))
+    return DescentTable(d=d, n=n, values=tuple(values))
 
 
 def _check_args(d: int, n: int) -> None:
@@ -84,9 +64,7 @@ def descent_spline(d: int, n: int, k: int) -> int:
     if k < 0 or k > d:
         return 0
     value = factorial(d) * n**d * bspline_eval_explicit(d + 1, k + Fraction(1, n))
-    if value.denominator != 1:
-        raise NonIntegerResult(f"descent_spline({d}, {n}, {k}) produced {value}")
-    return value.numerator
+    return _as_int(value, f"descent_spline({d}, {n}, {k})")
 
 
 def descent_explicit(d: int, n: int, k: int) -> int:

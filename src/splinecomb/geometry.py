@@ -248,7 +248,10 @@ def minkowski_poly(d: int, k: int) -> Polynomial:
     coefficient j is C(d, j) times the refined Eulerian number
     AR(d+1, k, d+1-j).
     """
-    _check_geometry_args(d, k, k)
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if not 0 <= k <= d:
+        raise ValueError(f"slice index k must be in 0..{d}, got {k}")
     points = []
     for lam in range(d + 1):
         value = (
@@ -274,19 +277,3 @@ def mixed_volume_row(poly: Polynomial, d: int) -> tuple[Fraction, ...]:
             raise NegativeResult(f"mixed volume j={j} of a degree-{d} Minkowski polynomial = {value}")
         row.append(value)
     return tuple(row)
-
-
-def mixed_volume(d: int, k: int, j: int) -> Fraction:
-    """j-th mixed volume of adjacent unit-cube slabs k and k+1: entry j
-    of mixed_volume_row(minkowski_poly(d, k), d)."""
-    _check_geometry_args(d, k, j)
-    return mixed_volume_row(minkowski_poly(d, k), d)[j]
-
-
-def _check_geometry_args(d: int, k: int, j: int) -> None:
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if not 0 <= k <= d:
-        raise ValueError(f"slice index k must be in 0..{d}, got {k}")
-    if not 0 <= j <= d:
-        raise ValueError(f"mixed-volume index j must be in 0..{d}, got {j}")

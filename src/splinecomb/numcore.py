@@ -12,10 +12,6 @@ import math
 import re
 from fractions import Fraction
 
-# The universal exact scalar.  Integers cross module boundaries as Fractions
-# with denominator 1 wherever a Rational is expected.
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
@@ -31,7 +27,7 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def truncated_pow(x: Rational | int, e: int) -> Rational:
+def truncated_pow(x: Fraction | int, e: int) -> Fraction:
     """Truncated power: x**e for x > 0, else 0.
 
     At the kink x == 0 the value is 0 for e >= 1 (forced by continuity) and
@@ -48,7 +44,7 @@ def truncated_pow(x: Rational | int, e: int) -> Rational:
     return Fraction(0)
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse the wire format "p" or "p/q" (decimal big integers, q > 0).
 
     Rejects anything else, including decimal points and whitespace.
@@ -61,6 +57,6 @@ def parse_rational(text: str) -> Rational:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
-def format_rational(value: Rational | int) -> str:
+def format_rational(value: Fraction | int) -> str:
     """Canonical "p" / "p/q" rendering of an exact value."""
     return str(Fraction(value))

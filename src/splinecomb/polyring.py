@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DuplicateNode
-from .numcore import Rational, format_rational
+from .numcore import format_rational
 
 
-def _normalize(coeffs: Iterable[Rational | int]) -> tuple[int | Fraction, ...]:
+def _normalize(coeffs: Iterable[Fraction | int]) -> tuple[int | Fraction, ...]:
     cs = []
     for c in coeffs:
         if type(c) is not int:
@@ -39,7 +39,7 @@ class Polynomial:
 
     coeffs: tuple[int | Fraction, ...]
 
-    def __init__(self, coeffs: Iterable[Rational | int] = ()):
+    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         object.__setattr__(self, "coeffs", _normalize(coeffs))
 
     def __setattr__(self, name, value):
@@ -106,7 +106,7 @@ class Polynomial:
                 base = base * base
         return result
 
-    def __call__(self, x: Rational | int) -> Fraction:
+    def __call__(self, x: Fraction | int) -> Fraction:
         """Exact Horner evaluation."""
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -143,7 +143,7 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
-def interpolate(points: Sequence[tuple[Rational | int, Rational | int]]) -> Polynomial:
+def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Polynomial:
     """Lagrange interpolation through the given (x, y) points, exactly.
 
     Returns the unique polynomial of degree < len(points).  Raises

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndexOutOfSupport
-from .numcore import Rational, binomial, factorial, truncated_pow
+from .numcore import binomial, factorial, truncated_pow
 from .polyring import Polynomial
 
 
@@ -37,7 +37,7 @@ class PiecePoly:
     poly: Polynomial
 
 
-def bspline_eval_explicit(d: int, x: Rational | int) -> Fraction:
+def bspline_eval_explicit(d: int, x: Fraction | int) -> Fraction:
     """B_d(x) via the alternating sum of truncated powers.
 
     Only terms with shift i <= x are active; the truncated-power
@@ -54,7 +54,7 @@ def bspline_eval_explicit(d: int, x: Rational | int) -> Fraction:
     return acc / factorial(d - 1)
 
 
-def bspline_eval_recurrence(d: int, x: Rational | int) -> Fraction:
+def bspline_eval_recurrence(d: int, x: Fraction | int) -> Fraction:
     """B_d(x) via the order-lowering recurrence.
 
     Builds the triangular table B_j(x - m) for j = 1..d, starting from the
@@ -98,7 +98,7 @@ def bspline_piece(d: int, j: int) -> PiecePoly:
     return PiecePoly(order=d, piece_index=j, poly=acc * Fraction(1, factorial(d - 1)))
 
 
-def bspline_integrate(d: int, a: Rational | int, b: Rational | int) -> Fraction:
+def bspline_integrate(d: int, a: Fraction | int, b: Fraction | int) -> Fraction:
     """Exact integral of B_d over [a, b] via piecewise antiderivatives."""
     _check_order(d)
     a, b = Fraction(a), Fraction(b)
@@ -117,7 +117,7 @@ def bspline_integrate(d: int, a: Rational | int, b: Rational | int) -> Fraction:
     return total
 
 
-def two_scale_residual(d: int, x: Rational | int) -> Fraction:
+def two_scale_residual(d: int, x: Fraction | int) -> Fraction:
     """B_d(x) minus its binomial-weighted refinement at doubled argument.
 
     Identically 0; with the right-continuous base indicator this holds at
@@ -133,7 +133,7 @@ def two_scale_residual(d: int, x: Rational | int) -> Fraction:
     return bspline_eval_explicit(d, x) - halved * refined
 
 
-def partition_residual(d: int, x: Rational | int) -> Fraction:
+def partition_residual(d: int, x: Fraction | int) -> Fraction:
     """Sum of all integer translates of B_d at x, minus 1.
 
     Only the finitely many translates whose support contains x contribute.

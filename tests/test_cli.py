@@ -212,6 +212,32 @@ def test_brute_budget_flag(capsys):
         assert "budget" in captured.err and captured.out == "", argv
 
 
+def test_only_the_leaves_that_may_enumerate_take_a_budget(capsys):
+    leaves = cli._leaves()
+    takes_budget = {path for path, leaf in leaves.items() if "--budget" in dict(leaf.arguments)}
+    assert takes_budget == {
+        "eulerian row", "eulerian refined", "eulerian verify", "descent table", "descent verify", "verify"
+    }
+    valid = {
+        "bspline eval": ["--d", "3", "--x", "1"],
+        "bspline piece": ["--d", "3", "--j", "1"],
+        "bspline integrate": ["--d", "3", "--a", "0", "--b", "1"],
+        "descent poly": ["--d", "3", "--n", "2"],
+        "geometry mc": ["--d", "2", "--scale", "1", "--lower", "0", "--upper", "1", "--samples", "5", "--seed", "1"],
+        "geometry minkowski": ["--d", "3", "--k", "1"],
+    }
+    assert set(valid) == set(leaves) - takes_budget
+    for path, args in valid.items():
+        argv = [*path.split(), *args]
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--budget", "5"])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--budget" in captured.err, argv
+
+
 def test_failed_verification_exits_1(capsys):
     from splinecomb.cli import _emit_reports
     from splinecomb.verify import VerifyReport
@@ -256,6 +282,9 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--all", "--samples", "0"])  # sample counts are positive
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bspline", "eval", "--d", "3", "--x", "1", "--budget", "5"])  # nothing to enumerate
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["bspline", "eval", "--d", "1", "--x=--"])
@@ -360,6 +389,8 @@ def _flag_values(flag: str, options: dict):
         return st.integers(-(2**70), 2**70)
     if flag == "--samples":
         return _mostly(st.integers(1, 2000), st.integers(-2, 0))
+    if flag == "--budget":
+        return _mostly(st.integers(1, 10**4), st.integers(-2, 0))
     return _mostly(st.integers(1, 6), st.integers(-2, 0))
 
 
@@ -375,8 +406,6 @@ def _argvs(draw):
             argv.append(flag)
         else:
             argv.append(f"{flag}={draw(_flag_values(flag, options))}")
-    if draw(st.booleans()):
-        argv.append(f"--budget={draw(st.integers(-2, 10**4))}")
     # json first, so hypothesis's simplest examples reach the json checks
     argv.append(f"--format={draw(st.sampled_from(('json', 'csv')))}")
     return argv

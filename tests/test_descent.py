@@ -1,5 +1,7 @@
 """Descent tables of indexed permutations: five routes and the corollaries."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from splinecomb import descent
 from splinecomb.descent import (
     ROUTES,
-    IndexedPermutation,
+    DescentTable,
     descent_explicit,
     descent_recurrence_table,
     descent_spline,
@@ -18,8 +20,9 @@ from splinecomb.descent import (
     log_concavity_verdict,
 )
 from splinecomb.errors import TooLarge
-from splinecomb.eulerian import eulerian_spline
+from splinecomb.eulerian import _descents, eulerian_spline
 from splinecomb.numcore import factorial
+from splinecomb.polyring import Polynomial
 
 
 def test_indexed_permutation_descents_by_hand():
@@ -35,16 +38,7 @@ def test_indexed_permutation_descents_by_hand():
         ((2, 1), (1, 1)): 2,
     }
     for (letters, indices), expected in cases.items():
-        assert IndexedPermutation(letters, indices).descent_count() == expected
-
-
-def test_indexed_permutation_validation():
-    with pytest.raises(ValueError):
-        IndexedPermutation((1, 3), (0, 0))
-    with pytest.raises(ValueError):
-        IndexedPermutation((1, 2), (0,))
-    with pytest.raises(ValueError):
-        IndexedPermutation((1, 2), (0, -1))
+        assert _descents(letters, indices) == expected
 
 
 def test_bruteforce_examples():
@@ -170,6 +164,16 @@ def test_two_scale_residual_vanishes(d, n):
 def test_polynomial_matches_values():
     table = descent_table(3, 2, "spline")
     assert [table.polynomial.coefficient(k) for k in range(4)] == list(table.values)
+
+
+def test_polynomial_is_read_from_the_values_of_every_route():
+    # The table stores d, n and values only; D_d^n(t) is built from values.
+    assert [f.name for f in dataclasses.fields(DescentTable)] == ["d", "n", "values"]
+    tables = [descent_table(3, 2, route) for route in ROUTES]
+    for table in tables:
+        assert table.polynomial == Polynomial(table.values)
+    for a, b in zip(tables, tables[1:]):
+        assert a == b
 
 
 def test_budget_enforcement():

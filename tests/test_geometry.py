@@ -20,7 +20,6 @@ from splinecomb.geometry import (
     mc_volume,
     mc_volumes,
     minkowski_poly,
-    mixed_volume,
     mixed_volume_row,
     splitmix64_stream,
 )
@@ -266,17 +265,19 @@ def test_minkowski_coefficients_are_refined_counts(d):
 
 @pytest.mark.parametrize("d", range(1, 6))
 def test_minkowski_evaluations_recover_descent_tables(d):
+    # Weights 0..d are the interpolation nodes; the rest lie off them.
     for k in range(d + 1):
         poly = minkowski_poly(d, k)
-        for n in range(1, 5):
-            assert poly(n - 1) == descent_spline(d, n, k)
+        for lam in (*range(4), d + 1, d + 2, 2 * d + 5, 40):
+            assert poly(lam) == descent_spline(d, lam + 1, k)
 
 
 def test_mixed_volume_examples():
-    assert mixed_volume(1, 0, 1) == 1
+    assert mixed_volume_row(minkowski_poly(1, 0), 1)[1] == 1
     triangle = refined_bruteforce(2)
+    row = mixed_volume_row(minkowski_poly(2, 1), 2)
     for j in range(3):
-        assert mixed_volume(2, 1, j) == triangle.value(1, 2 - j)
+        assert row[j] == triangle.value(1, 2 - j)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -285,9 +286,9 @@ def test_mixed_volume_grid_matches_refined_triangle(d):
         row = mixed_volume_row(minkowski_poly(d, k), d)
         assert len(row) == d + 1
         for j in range(d + 1):
-            value = mixed_volume(d, k, j)
+            value = row[j]
             assert type(value) is Fraction and value.denominator == 1
-            assert row[j] == value == refined_explicit(d, k, d - j)
+            assert value == refined_explicit(d, k, d - j)
 
 
 def test_geometry_argument_validation():
@@ -295,10 +296,6 @@ def test_geometry_argument_validation():
         minkowski_poly(0, 0)
     with pytest.raises(ValueError):
         minkowski_poly(3, 4)
-    with pytest.raises(ValueError):
-        mixed_volume(3, 0, 4)
-    with pytest.raises(ValueError):
-        mixed_volume(3, 4, 0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from splinecomb import geometry
+from splinecomb import descent, geometry
 from splinecomb.errors import TooLarge
 from splinecomb.verify import (
     VerifyConfig,
@@ -105,6 +105,32 @@ def test_geometry_suite_rebuilds_each_minkowski_polynomial_every_run(monkeypatch
         calls.clear()
         assert verify_geometry(config).ok
         assert len(calls) == sum(d + 1 for d in range(1, config.d_max + 1))
+
+
+def test_geometry_suite_checks_the_minkowski_polynomial_off_its_nodes(monkeypatch):
+    # minkowski_poly interpolates through weights 0..d, where it equals
+    # descent_spline(d, lam + 1, k) by construction.  A descent_spline that
+    # is wrong only further out (index bound n >= d + 2, odd, at d >= 5) is
+    # reached by no other suite, so only an off-node check can catch it.
+    spline = descent.descent_spline
+    monkeypatch.setattr(
+        descent,
+        "descent_spline",
+        lambda d, n, k: spline(d, n, k) + (d >= 5 and n >= d + 2 and n % 2 == 1),
+    )
+    reports = {rep.suite: rep for rep in verify_all(VerifyConfig())}
+    assert [suite for suite, rep in reports.items() if not rep.ok] == ["geometry"]
+    failed = [case for case, _, _ in reports["geometry"].failures]
+    assert failed and all(case.startswith("minkowski-at-") for case in failed)
+    assert len(failed) == 2 * 6 + 7  # lam 6 and 8 at d = 5, lam 8 at d = 6
+
+
+def test_geometry_case_labels_are_distinct(monkeypatch):
+    labels = []
+    check = _Recorder.check
+    monkeypatch.setattr(_Recorder, "check", lambda rec, case, *values: labels.append(case) or check(rec, case, *values))
+    assert verify_geometry(VerifyConfig()).ok
+    assert len(labels) == len(set(labels)) == 413
 
 
 def test_mc_suite_draws_each_stream_once_per_dimension_and_seed(monkeypatch):
