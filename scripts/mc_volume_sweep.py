@@ -27,11 +27,11 @@ def _seed_list(text: str) -> tuple[int, ...]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--d-max", type=_positive_int, default=6)
-    parser.add_argument("--dilated-d-max", type=_positive_int, default=4)
-    parser.add_argument("--n-max", type=_positive_int, default=3)
-    parser.add_argument("--samples", type=_positive_int, default=100_000)
-    parser.add_argument("--seeds", type=_seed_list, default="101,20231,777003",
+    parser.add_argument("--d-max", type=_positive_int, default=VerifyConfig.d_max)
+    parser.add_argument("--dilated-d-max", type=_positive_int, default=VerifyConfig.mc_dilated_d_max)
+    parser.add_argument("--n-max", type=_positive_int, default=VerifyConfig.n_max)
+    parser.add_argument("--samples", type=_positive_int, default=VerifyConfig.mc_samples)
+    parser.add_argument("--seeds", type=_seed_list, default=VerifyConfig.mc_seeds,
                         help="comma-separated seed list")
     args = parser.parse_args(argv)
 

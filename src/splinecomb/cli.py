@@ -43,8 +43,8 @@ def _route(routes: dict) -> tuple[str, dict]:
 
 _D = _required("--d", _positive_int)
 _N = _required("--n", _positive_int)
-_D_MAX = ("--d-max", {"type": _positive_int, "default": 6})
-_N_MAX = ("--n-max", {"type": _positive_int, "default": 3})
+_D_MAX = ("--d-max", {"type": _positive_int, "default": VerifyConfig.d_max})
+_N_MAX = ("--n-max", {"type": _positive_int, "default": VerifyConfig.n_max})
 # Only the leaves that may enumerate take a budget.
 _BUDGET = (
     "--budget",
@@ -89,7 +89,7 @@ def _eulerian_row(row: eulerian.EulerianRow) -> tuple[list, dict]:
 
 def _refined(triangle: eulerian.RefinedTriangle) -> tuple[list, dict]:
     d = triangle.d
-    rows = [(k, j, triangle.value(k, j)) for k in range(d + 1) for j in range(d + 1)]
+    rows = [(k, j, triangle.values[k][j]) for k in range(d + 1) for j in range(d + 1)]
     return rows, {"values": [[str(v) for v in row] for row in triangle.values]}
 
 
@@ -216,7 +216,11 @@ def _leaves() -> dict[str, _Leaf]:
                 _N_MAX,
                 (
                     "--samples",
-                    {"type": _positive_int, "default": 100_000, "help": "Monte Carlo samples per slice/seed"},
+                    {
+                        "type": _positive_int,
+                        "default": VerifyConfig.mc_samples,
+                        "help": "Monte Carlo samples per slice/seed",
+                    },
                 ),
                 _BUDGET,
             ),

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult
+from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, check_range
 from .eulerian import _as_int, _descent_grid, _descent_marginal, refined_explicit
 from .numcore import binomial, factorial
 from .polyring import Polynomial
@@ -52,10 +52,8 @@ def _make_table(d: int, n: int, values) -> DescentTable:
 
 
 def _check_args(d: int, n: int) -> None:
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 1:
-        raise ValueError("index bound must be >= 1")
+    check_range("dimension", d, 1)
+    check_range("index bound", n, 1)
 
 
 def descent_spline(d: int, n: int, k: int) -> int:
@@ -70,8 +68,7 @@ def descent_spline(d: int, n: int, k: int) -> int:
 def descent_explicit(d: int, n: int, k: int) -> int:
     """DT(d, n, k) via the alternating sum over shifted d-th powers."""
     _check_args(d, n)
-    if not 0 <= k <= d:
-        raise ValueError(f"descent count k must be in 0..{d}, got {k}")
+    check_range("descent count k", k, 0, d)
     total = 0
     for i in range(k + 1):
         term = binomial(d + 1, i) * (n * (k - i) + 1) ** d
@@ -99,8 +96,7 @@ def descent_via_refined(d: int, n: int, k: int) -> int:
     """DT(d, n, k) as a binomial combination of refined Eulerian numbers
     weighted by powers of n-1 (0**0 == 1, so n = 1 keeps only the first term)."""
     _check_args(d, n)
-    if not 0 <= k <= d:
-        raise ValueError(f"descent count k must be in 0..{d}, got {k}")
+    check_range("descent count k", k, 0, d)
     return sum(binomial(d, j) * refined_explicit(d, k, j) * (n - 1) ** j for j in range(d + 1))
 
 

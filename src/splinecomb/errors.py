@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the enumeration budget guard."""
+"""Exception types shared across the package and the two argument guards.
+
+`check_range` is the one integer range rule: every entry point that takes a
+dimension, order, index bound, descent count or other integer argument
+refuses a value outside its range with ValueError("<what> must be >= lo,
+got <value>") or ("<what> must be in lo..hi, got <value>").  `check_budget`
+refuses an enumeration larger than its budget with TooLarge.
+"""
 
 
 class SplinecombError(Exception):
@@ -40,3 +47,10 @@ def check_budget(objects: int, budget: int, what: str) -> None:
     """Refuse to enumerate `objects` things of kind `what` beyond `budget`."""
     if objects > budget:
         raise TooLarge(f"enumeration of {objects} {what} exceeds budget {budget}")
+
+
+def check_range(what: str, value: int, lo: int, hi: int | None = None) -> None:
+    """Refuse `value` for the argument `what` unless lo <= value (<= hi when given)."""
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{what} must be {bound}, got {value}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, NonIntegerResult, check_budget
+from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, NonIntegerResult, check_budget, check_range
 from .numcore import binomial, factorial
 from .polyring import Polynomial
 from .splinecore import bspline_eval_explicit
@@ -47,9 +47,6 @@ class RefinedTriangle:
 
     d: int
     values: tuple[tuple[int, ...], ...]
-
-    def value(self, k: int, j: int) -> int:
-        return self.values[k][j]
 
 
 def _descents(letters, indices) -> int:
@@ -103,8 +100,7 @@ def _as_int(value: Fraction, context: str) -> int:
 
 def eulerian_spline(d: int, k: int) -> int:
     """A(d, k) as d! * B_{d+1}(k); 0 for k outside 1..d."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_range("dimension", d, 1)
     if k <= 0 or k > d:
         return 0
     value = factorial(d) * bspline_eval_explicit(d + 1, k)
@@ -117,8 +113,7 @@ def eulerian_row_spline(d: int) -> EulerianRow:
 
 def eulerian_bruteforce(d: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> EulerianRow:
     """Histogram of descent counts over all of S_d (cost d!)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_range("dimension", d, 1)
     counts = _descent_marginal(_descent_grid(d, 1, budget, "permutations"))
     return EulerianRow(d=d, values=tuple(counts[:d]))
 
@@ -154,8 +149,7 @@ def refined_lambda_extraction(d: int, k: int, j: int) -> int:
 
 def refined_bruteforce(d: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> RefinedTriangle:
     """Enumerate S_{d+1}, recording (descent count, last element)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_range("dimension", d, 1)
     grid = _descent_grid(d + 1, 1, budget, "permutations")
     # values[k][j] ends with the element d+1-j, which is grid row d-j.
     values = tuple(tuple(grid[d - j][k] for j in range(d + 1)) for k in range(d + 1))
@@ -195,16 +189,12 @@ def eulerian_two_scale_residual(d: int, k: int) -> Fraction:
 
     Out-of-range Eulerian numbers enter as 0.  Identically 0.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_range("dimension", d, 1)
     refined = sum(binomial(d + 1, j) * eulerian_spline(d, 2 * k - j) for j in range(d + 2))
     return Fraction(eulerian_spline(d, k)) - Fraction(refined, 2**d)
 
 
 def _check_refined_args(d: int, k: int, j: int) -> None:
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if not 0 <= k <= d:
-        raise ValueError(f"descent count k must be in 0..{d}, got {k}")
-    if not 0 <= j <= d:
-        raise ValueError(f"refinement index j must be in 0..{d}, got {j}")
+    check_range("dimension", d, 1)
+    check_range("descent count k", k, 0, d)
+    check_range("refinement index j", j, 0, d)

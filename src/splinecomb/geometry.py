@@ -28,10 +28,10 @@ from fractions import Fraction
 from itertools import islice
 from math import ceil, floor, isqrt
 
-from .errors import NegativeResult
+from . import descent
+from .errors import NegativeResult, check_range
 from .numcore import binomial, factorial
 from .polyring import Polynomial, interpolate
-from .splinecore import bspline_eval_explicit
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -57,10 +57,8 @@ class SliceSpec:
     upper: Fraction
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.scale < 1:
-            raise ValueError("cube dilation factor must be >= 1")
+        check_range("dimension", self.d, 1)
+        check_range("cube dilation factor", self.scale, 1)
         if not 0 <= self.lower <= self.upper <= self.scale * self.d:
             raise ValueError(
                 f"slab [{self.lower}, {self.upper}] not inside [0, {self.scale * self.d}]"
@@ -69,18 +67,15 @@ class SliceSpec:
     @classmethod
     def cube_slice(cls, d: int, k: int) -> "SliceSpec":
         """k-th unit-cube slab: coordinate sums between k-1 and k."""
-        if not 1 <= k <= d:
-            raise ValueError(f"slice index must be in 1..{d}, got {k}")
+        check_range("slice index", k, 1, d)
         return cls(d=d, scale=1, lower=Fraction(k - 1), upper=Fraction(k))
 
     @classmethod
     def dilated_slice(cls, d: int, n: int, k: int) -> "SliceSpec":
         """k-th slab of the n-dilated cube: sums between (k-1)n+1 and kn+1,
         clipped to the cube (clipping never changes the volume)."""
-        if n < 1:
-            raise ValueError("dilation must be >= 1")
-        if not 0 <= k <= d:
-            raise ValueError(f"slice index must be in 0..{d}, got {k}")
+        check_range("dilation", n, 1)
+        check_range("slice index", k, 0, d)
         lower = max(0, (k - 1) * n + 1)
         upper = min(n * d, k * n + 1)
         return cls(d=d, scale=n, lower=Fraction(lower), upper=Fraction(upper))
@@ -195,8 +190,7 @@ def mc_volumes(specs, samples: int, seed: int) -> tuple[VolumeEstimate, ...]:
     is the binomial one of the estimate, rounded outward to a rational.
     Acceptance against an exact volume uses mc_band, not this error.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    check_range("sample count", samples, 1)
     specs = tuple(specs)
     ranges: dict[int, list[tuple[int, int]]] = {}
     for spec in specs:
@@ -243,24 +237,14 @@ def minkowski_poly(d: int, k: int) -> Polynomial:
     """Volume polynomial (in the dilation weight) of the Minkowski sum of
     unit-cube slabs k and k+1, with the second body's weight fixed at 1.
 
-    Evaluated exactly at integer weights 0..d through the spline identity
-    and recovered by Lagrange interpolation; degree is at most d and
-    coefficient j is C(d, j) times the refined Eulerian number
-    AR(d+1, k, d+1-j).
+    Interpolated through weights lam = 0..d, where its value is the scaled
+    spline value d! (lam+1)^d B_{d+1}(k + 1/(lam+1)) = descent_spline(d,
+    lam+1, k); degree is at most d and coefficient j is C(d, j) times the
+    refined Eulerian number AR(d+1, k, d+1-j).
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if not 0 <= k <= d:
-        raise ValueError(f"slice index k must be in 0..{d}, got {k}")
-    points = []
-    for lam in range(d + 1):
-        value = (
-            factorial(d)
-            * (lam + 1) ** d
-            * bspline_eval_explicit(d + 1, k + Fraction(1, lam + 1))
-        )
-        points.append((Fraction(lam), value))
-    return interpolate(points)
+    check_range("dimension", d, 1)
+    check_range("slice index k", k, 0, d)
+    return interpolate([(lam, descent.descent_spline(d, lam + 1, k)) for lam in range(d + 1)])
 
 
 def mixed_volume_row(poly: Polynomial, d: int) -> tuple[Fraction, ...]:

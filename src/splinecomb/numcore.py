@@ -12,6 +12,8 @@ import math
 import re
 from fractions import Fraction
 
+from .errors import check_range
+
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
@@ -34,8 +36,7 @@ def truncated_pow(x: Fraction | int, e: int) -> Fraction:
     1 for e == 0 (right-continuity, matching the half-open support of the
     order-1 spline).
     """
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
+    check_range("exponent", e, 0)
     x = Fraction(x)
     if x > 0:
         return x**e

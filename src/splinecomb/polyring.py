@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DuplicateNode
+from .errors import DuplicateNode, check_range
 from .numcore import format_rational
 
 
@@ -94,8 +94,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("exponent must be non-negative")
+        check_range("exponent", e, 0)
         result = Polynomial([1])
         base = self
         while e:

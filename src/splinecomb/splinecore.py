@@ -18,14 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IndexOutOfSupport
+from .errors import IndexOutOfSupport, check_range
 from .numcore import binomial, factorial, truncated_pow
 from .polyring import Polynomial
-
-
-def _check_order(d: int) -> None:
-    if d < 1:
-        raise ValueError(f"spline order must be >= 1, got {d}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,7 @@ def bspline_eval_explicit(d: int, x: Fraction | int) -> Fraction:
     Only terms with shift i <= x are active; the truncated-power
     conventions make the d = 1 base case come out right-continuous.
     """
-    _check_order(d)
+    check_range("spline order", d, 1)
     x = Fraction(x)
     if x < 0 or x >= d:
         return Fraction(0)
@@ -61,7 +56,7 @@ def bspline_eval_recurrence(d: int, x: Fraction | int) -> Fraction:
     indicator values of B_1 and combining neighbours with the weights
     y/(j-1) and (j-y)/(j-1).  Agrees bit-exactly with the explicit route.
     """
-    _check_order(d)
+    check_range("spline order", d, 1)
     x = Fraction(x)
     vals = [Fraction(1) if 0 <= x - m < 1 else Fraction(0) for m in range(d)]
     for order in range(2, d + 1):
@@ -88,7 +83,7 @@ def bspline_piece(d: int, j: int) -> PiecePoly:
     shift i <= j are active, each contributing a full (not truncated)
     power.
     """
-    _check_order(d)
+    check_range("spline order", d, 1)
     if not 0 <= j <= d - 1:
         raise IndexOutOfSupport(f"piece index {j} outside support of order-{d} spline")
     acc = Polynomial()
@@ -100,7 +95,7 @@ def bspline_piece(d: int, j: int) -> PiecePoly:
 
 def bspline_integrate(d: int, a: Fraction | int, b: Fraction | int) -> Fraction:
     """Exact integral of B_d over [a, b] via piecewise antiderivatives."""
-    _check_order(d)
+    check_range("spline order", d, 1)
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError("integration bounds must satisfy a <= b")
@@ -123,7 +118,7 @@ def two_scale_residual(d: int, x: Fraction | int) -> Fraction:
     Identically 0; with the right-continuous base indicator this holds at
     every rational, dyadic discontinuity points of d = 1 included.
     """
-    _check_order(d)
+    check_range("spline order", d, 1)
     x = Fraction(x)
     halved = Fraction(1, 2 ** (d - 1))
     refined = sum(
@@ -139,7 +134,7 @@ def partition_residual(d: int, x: Fraction | int) -> Fraction:
     Only the finitely many translates whose support contains x contribute.
     Identically 0 (partition of unity).
     """
-    _check_order(d)
+    check_range("spline order", d, 1)
     x = Fraction(x)
     total = Fraction(0)
     for k in range(math.ceil(x - d), math.floor(x) + 1):
@@ -156,10 +151,8 @@ def log_concavity_witness(d: int, grid_denominator: int) -> list[Fraction]:
     outside the support contribute 0, making those margins trivially
     non-negative.
     """
-    if d < 2:
-        raise ValueError("log-concavity sampling needs order >= 2")
-    if grid_denominator < 1:
-        raise ValueError("grid denominator must be >= 1")
+    check_range("log-concavity sampling order", d, 2)
+    check_range("grid denominator", grid_denominator, 1)
     q = grid_denominator
     margins = []
     for m in range(1, d * q):

@@ -49,7 +49,8 @@ class VerifyReport:
 
     @property
     def ok(self) -> bool:
-        return self.cases_failed == 0
+        """Passed: at least one case ran and none failed."""
+        return self.cases_run > 0 and self.cases_failed == 0
 
 
 class _Recorder:
@@ -154,7 +155,7 @@ def verify_eulerian(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
             rec.check(
                 f"refined-last-column d={d} k={k}",
                 eulerian.eulerian_spline(d, k + 1),
-                explicit.value(k, 0),
+                explicit.values[k][0],
             )
     return rec.report()
 
@@ -195,12 +196,12 @@ def verify_geometry(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
             for j in range(d + 1):
                 rec.check(
                     f"minkowski-coefficient d={d} k={k} j={j}",
-                    binomial(d, j) * refined.value(k, j),
+                    binomial(d, j) * refined.values[k][j],
                     poly.coefficient(j),
                 )
                 rec.check(
                     f"mixed-volume d={d} k={k} j={j}",
-                    Fraction(refined.value(k, d - j)),
+                    Fraction(refined.values[k][d - j]),
                     mixed[j],
                 )
             rec.check(f"minkowski-at-0 d={d} k={k}", Fraction(eulerian.eulerian_spline(d, k + 1)), poly(0))

@@ -46,7 +46,7 @@ def test_criterion_02_refined_route_equivalence():
                 values = {
                     eulerian.refined_explicit(d, k, j),
                     eulerian.refined_lambda_extraction(d, k, j),
-                    brute.value(k, j),
+                    brute.values[k][j],
                 }
                 if len(values) != 1:
                     bad.append((d, k, j))
@@ -131,7 +131,7 @@ def test_criterion_08_geometry_exact_bridge():
         for k in range(d + 1):
             poly = geometry.minkowski_poly(d, k)
             for j in range(d + 1):
-                ok = ok and poly.coefficient(j) == binomial(d, j) * triangle.value(k, j)
+                ok = ok and poly.coefficient(j) == binomial(d, j) * triangle.values[k][j]
     _criterion(8, "Minkowski polynomial coefficients == C(d,j) * refined counts, d <= 6",
                ok, started)
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from splinecomb import cli
 from splinecomb.cli import main
 from splinecomb.numcore import format_rational, parse_rational
+from splinecomb.verify import VerifyConfig
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +192,15 @@ def test_verify_subcommands_pass(capsys):
     code, out = run_cli(capsys, "descent", "verify", "--d-max", "4", "--n-max", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["total_failed"] == 0
+
+
+def test_sweep_defaults_are_the_verify_config_defaults():
+    parse = cli.build_parser().parse_args
+    a = parse(["verify", "--all"])
+    assert VerifyConfig(d_max=a.d_max, n_max=a.n_max, budget=a.budget, mc_samples=a.samples) == VerifyConfig()
+    a = parse(["descent", "verify"])
+    assert (a.d_max, a.n_max, a.budget) == (VerifyConfig.d_max, VerifyConfig.n_max, VerifyConfig.budget)
+    assert parse(["eulerian", "verify"]).d_max == VerifyConfig.d_max
 
 
 def test_budget_violation_exits_2(capsys):

@@ -143,8 +143,8 @@ def test_refined_mass_invariants(d):
     triangle = refined_bruteforce(d)
     # fixing the last element leaves a copy of S_d
     for j in range(d + 1):
-        assert sum(triangle.value(k, j) for k in range(d + 1)) == factorial(d)
-    total = sum(triangle.value(k, j) for k in range(d + 1) for j in range(d + 1))
+        assert sum(triangle.values[k][j] for k in range(d + 1)) == factorial(d)
+    total = sum(triangle.values[k][j] for k in range(d + 1) for j in range(d + 1))
     assert total == factorial(d + 1)
 
 
@@ -153,7 +153,7 @@ def test_refined_last_column_is_previous_eulerian_row(d):
     # ending with the largest element leaves the descent count unchanged
     triangle = refined_triangle(d, "explicit")
     for k in range(d + 1):
-        assert triangle.value(k, 0) == eulerian_spline(d, k + 1)
+        assert triangle.values[k][0] == eulerian_spline(d, k + 1)
 
 
 def test_two_scale_examples():

@@ -1,11 +1,14 @@
 """The experiment scripts run end to end at a tiny size and keep their CSV shape."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from splinecomb.verify import VerifyConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +40,16 @@ def test_mc_volume_sweep():
         "dilated d=1 n=2 k=0",
         "dilated d=1 n=2 k=1",
     ]
+
+
+def test_mc_volume_sweep_defaults_are_the_verify_config_defaults(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("mc_volume_sweep", ROOT / "scripts" / "mc_volume_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    configs = []
+    monkeypatch.setattr(sweep, "mc_pairs", lambda config: configs.append(config) or [])
+    assert sweep.main([]) == 0
+    assert configs == [VerifyConfig()]
 
 
 def test_log_concavity_margins():

@@ -51,6 +51,14 @@ def test_report_invariant():
     assert report.ok
 
 
+def test_a_suite_that_ran_no_case_is_not_a_pass():
+    assert not VerifyReport(suite="s", cases_run=0, cases_failed=0, failures=()).ok
+    reports = verify_all(VerifyConfig(d_max=0))
+    assert [(r.cases_run, r.ok) for r in reports] == [(0, False)] * 5
+    unseeded = verify_mc(VerifyConfig(d_max=2, mc_seeds=()))
+    assert (unseeded.cases_run, unseeded.ok) == (0, False)
+
+
 SMALL = VerifyConfig(d_max=3, n_max=2, mc_samples=20_000, sample_points=8)
 
 
