@@ -20,7 +20,6 @@ from .descent import (
 )
 from .errors import (
     DuplicateNode,
-    IndexOutOfSupport,
     NegativeResult,
     NonIntegerResult,
     SplinecombError,
@@ -51,7 +50,6 @@ from .numcore import (
     factorial,
     format_rational,
     parse_rational,
-    truncated_pow,
 )
 from .polyring import Polynomial, interpolate
 from .splinecore import (

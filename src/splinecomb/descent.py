@@ -47,10 +47,6 @@ class DescentTable:
         return 0
 
 
-def _make_table(d: int, n: int, values) -> DescentTable:
-    return DescentTable(d=d, n=n, values=tuple(values))
-
-
 def _check_args(d: int, n: int) -> None:
     check_range("dimension", d, 1)
     check_range("index bound", n, 1)
@@ -59,8 +55,6 @@ def _check_args(d: int, n: int) -> None:
 def descent_spline(d: int, n: int, k: int) -> int:
     """DT(d, n, k) as d! * n^d * B_{d+1}(k + 1/n); 0 for k outside 0..d."""
     _check_args(d, n)
-    if k < 0 or k > d:
-        return 0
     value = factorial(d) * n**d * bspline_eval_explicit(d + 1, k + Fraction(1, n))
     return _as_int(value, f"descent_spline({d}, {n}, {k})")
 
@@ -89,7 +83,7 @@ def descent_recurrence_table(d: int, n: int) -> DescentTable:
             above = prev[k] if k < len(prev) else 0
             left = prev[k - 1] if k >= 1 else 0
             row.append((n * k + 1) * above + (n * (j - k) + (n - 1)) * left)
-    return _make_table(d, n, row[: d + 1])
+    return DescentTable(d=d, n=n, values=tuple(row))
 
 
 def descent_via_refined(d: int, n: int, k: int) -> int:
@@ -103,11 +97,12 @@ def descent_via_refined(d: int, n: int, k: int) -> int:
 def indexed_bruteforce(d: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> DescentTable:
     """Histogram of descent counts over every (permutation, index vector) pair."""
     _check_args(d, n)
-    return _make_table(d, n, _descent_marginal(_descent_grid(d, n, budget, "indexed permutations")))
+    grid = _descent_grid(d, n, budget, "indexed permutations")
+    return DescentTable(d=d, n=n, values=tuple(_descent_marginal(grid)))
 
 
 def _grid(d: int, n: int, entry) -> DescentTable:
-    return _make_table(d, n, (entry(d, n, k) for k in range(d + 1)))
+    return DescentTable(d=d, n=n, values=tuple(entry(d, n, k) for k in range(d + 1)))
 
 
 # Routes by name, reference route first; a builder takes (d, n, budget).

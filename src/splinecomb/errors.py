@@ -1,10 +1,10 @@
 """Exception types shared across the package and the two argument guards.
 
 `check_range` is the one integer range rule: every entry point that takes a
-dimension, order, index bound, descent count or other integer argument
-refuses a value outside its range with ValueError("<what> must be >= lo,
-got <value>") or ("<what> must be in lo..hi, got <value>").  `check_budget`
-refuses an enumeration larger than its budget with TooLarge.
+dimension, order, piece index, index bound, descent count or other integer
+argument refuses a value outside its range with ValueError("<what> must be
+>= lo, got <value>") or ("<what> must be in lo..hi, got <value>").
+`check_budget` refuses an enumeration larger than its budget with TooLarge.
 """
 
 
@@ -14,10 +14,6 @@ class SplinecombError(Exception):
 
 class DuplicateNode(SplinecombError):
     """Two interpolation abscissae coincide."""
-
-
-class IndexOutOfSupport(SplinecombError):
-    """Requested a spline piece outside the support of the spline."""
 
 
 class NonIntegerResult(SplinecombError):

@@ -101,8 +101,6 @@ def _as_int(value: Fraction, context: str) -> int:
 def eulerian_spline(d: int, k: int) -> int:
     """A(d, k) as d! * B_{d+1}(k); 0 for k outside 1..d."""
     check_range("dimension", d, 1)
-    if k <= 0 or k > d:
-        return 0
     value = factorial(d) * bspline_eval_explicit(d + 1, k)
     return _as_int(value, f"eulerian_spline({d}, {k})")
 

@@ -65,12 +65,6 @@ class SliceSpec:
             )
 
     @classmethod
-    def cube_slice(cls, d: int, k: int) -> "SliceSpec":
-        """k-th unit-cube slab: coordinate sums between k-1 and k."""
-        check_range("slice index", k, 1, d)
-        return cls(d=d, scale=1, lower=Fraction(k - 1), upper=Fraction(k))
-
-    @classmethod
     def dilated_slice(cls, d: int, n: int, k: int) -> "SliceSpec":
         """k-th slab of the n-dilated cube: sums between (k-1)n+1 and kn+1,
         clipped to the cube (clipping never changes the volume)."""
@@ -169,8 +163,6 @@ def _sqrt_upper_bound(value: Fraction) -> Fraction:
     """Smallest convenient rational >= sqrt(value); exact on perfect squares."""
     if value < 0:
         raise ValueError("square root of negative value")
-    if value == 0:
-        return Fraction(0)
     n, m = value.numerator, value.denominator
     root = isqrt(n * m)
     if root * root == n * m:

@@ -12,8 +12,6 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import check_range
-
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
@@ -27,22 +25,6 @@ def binomial(n: int, k: int) -> int:
 def factorial(n: int) -> int:
     """n! for n >= 0."""
     return math.factorial(n)
-
-
-def truncated_pow(x: Fraction | int, e: int) -> Fraction:
-    """Truncated power: x**e for x > 0, else 0.
-
-    At the kink x == 0 the value is 0 for e >= 1 (forced by continuity) and
-    1 for e == 0 (right-continuity, matching the half-open support of the
-    order-1 spline).
-    """
-    check_range("exponent", e, 0)
-    x = Fraction(x)
-    if x > 0:
-        return x**e
-    if x == 0 and e == 0:
-        return Fraction(1)
-    return Fraction(0)
 
 
 def parse_rational(text: str) -> Fraction:

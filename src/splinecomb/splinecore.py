@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IndexOutOfSupport, check_range
-from .numcore import binomial, factorial, truncated_pow
+from .errors import check_range
+from .numcore import binomial, factorial
 from .polyring import Polynomial
 
 
@@ -33,18 +33,19 @@ class PiecePoly:
 
 
 def bspline_eval_explicit(d: int, x: Fraction | int) -> Fraction:
-    """B_d(x) via the alternating sum of truncated powers.
+    """B_d(x) via the alternating sum of truncated powers (x - i)_+^(d-1).
 
-    Only terms with shift i <= x are active; the truncated-power
-    conventions make the d = 1 base case come out right-continuous.
+    Only the shifts i <= floor(x) are active, and x < d keeps them below d.
+    Each of them has base x - i >= 0, so the truncation is a plain power,
+    and 0**0 == 1 makes the d = 1 base case right-continuous.
     """
     check_range("spline order", d, 1)
     x = Fraction(x)
     if x < 0 or x >= d:
         return Fraction(0)
     acc = Fraction(0)
-    for i in range(min(d, math.floor(x)) + 1):
-        term = binomial(d, i) * truncated_pow(x - i, d - 1)
+    for i in range(math.floor(x) + 1):
+        term = binomial(d, i) * (x - i) ** (d - 1)
         acc = acc - term if i & 1 else acc + term
     return acc / factorial(d - 1)
 
@@ -84,8 +85,7 @@ def bspline_piece(d: int, j: int) -> PiecePoly:
     power.
     """
     check_range("spline order", d, 1)
-    if not 0 <= j <= d - 1:
-        raise IndexOutOfSupport(f"piece index {j} outside support of order-{d} spline")
+    check_range("piece index", j, 0, d - 1)
     acc = Polynomial()
     for i in range(j + 1):
         term = Polynomial([-i, 1]) ** (d - 1) * binomial(d, i)
@@ -105,8 +105,6 @@ def bspline_integrate(d: int, a: Fraction | int, b: Fraction | int) -> Fraction:
     total = Fraction(0)
     for j in range(math.floor(lo), math.ceil(hi)):
         left, right = max(lo, Fraction(j)), min(hi, Fraction(j + 1))
-        if left >= right:
-            continue
         anti = bspline_piece(d, j).poly.antiderivative()
         total += anti(right) - anti(left)
     return total

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from splinecomb import descent, eulerian, geometry, splinecore
 from splinecomb.numcore import binomial, factorial
-from splinecomb.verify import DEFAULT_MC_SEEDS, VerifyConfig, mc_cases, verify_mc
+from splinecomb.verify import VerifyConfig, mc_cases, verify_mc
 
 
 def _criterion(number: int, name: str, ok: bool, started: float, detail: str = ""):
@@ -141,7 +141,7 @@ def test_criterion_09_geometry_stochastic_bridge():
     config = VerifyConfig(mc_samples=1_000_000)
     report = verify_mc(config)
     # 63 slabs (21 unit for d <= 6, 42 dilated for d <= 4, n = 2..4), 3 seeds each
-    ok = report.ok and report.cases_run == len(mc_cases(config)) * len(DEFAULT_MC_SEEDS) == 189
+    ok = report.ok and report.cases_run == len(mc_cases(config)) * len(config.mc_seeds) == 189
     _criterion(9, "Monte Carlo within geometry.mc_band (<= 1 excursion allowed), 189 pairs",
                ok, started,
                detail="" if ok else f" cases={report.cases_run} excursions={report.failures}")

@@ -311,7 +311,7 @@ def test_invalid_slice_exits_2(capsys):
     code = main(["bspline", "piece", "--d", "2", "--j", "5"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "support" in captured.err and captured.out == ""
+    assert "piece index" in captured.err and captured.out == ""
 
 
 def test_cli_output_is_byte_identical_across_runs():

@@ -130,6 +130,11 @@ def test_endpoints(d, n):
     assert table.value(-1) == 0 and table.value(d + 1) == 0
     if d == 1:
         assert table.values[1] == n - 1
+    # Outside 0..d the spline argument k + 1/n leaves the support (0, d + 1).
+    for k in (-d - 2, -1, d + 1, d + 2, 3 * d):
+        assert descent_spline(d, n, k) == 0
+    # With n = 1 no permutation descends at every position.
+    assert descent_spline(d, 1, d) == 0
 
 
 def test_log_concavity_verdict_example():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from splinecomb import descent, eulerian, geometry, numcore, splinecore
+from splinecomb import descent, eulerian, geometry, splinecore
 from splinecomb.errors import check_range
 from splinecomb.polyring import Polynomial
 
@@ -30,6 +30,7 @@ GUARDED = {
     "bspline_eval_explicit": (lambda: splinecore.bspline_eval_explicit(0, 1), "spline order", 0),
     "bspline_eval_recurrence": (lambda: splinecore.bspline_eval_recurrence(-1, 1), "spline order", -1),
     "bspline_piece": (lambda: splinecore.bspline_piece(0, 0), "spline order", 0),
+    "bspline_piece j": (lambda: splinecore.bspline_piece(3, 3), "piece index", 3),
     "bspline_integrate": (lambda: splinecore.bspline_integrate(0, 0, 1), "spline order", 0),
     "two_scale_residual": (lambda: splinecore.two_scale_residual(0, 1), "spline order", 0),
     "partition_residual": (lambda: splinecore.partition_residual(0, 1), "spline order", 0),
@@ -56,13 +57,12 @@ GUARDED = {
     "descent_two_scale_residual": (lambda: descent.descent_two_scale_residual(1, -1, 0), "index bound", -1),
     "SliceSpec d": (lambda: _unit_slab(d=0), "dimension", 0),
     "SliceSpec scale": (lambda: _unit_slab(scale=0), "cube dilation factor", 0),
-    "cube_slice": (lambda: geometry.SliceSpec.cube_slice(3, 4), "slice index", 4),
+    "dilated_slice d": (lambda: geometry.SliceSpec.dilated_slice(0, 1, 0), "dimension", 0),
     "dilated_slice n": (lambda: geometry.SliceSpec.dilated_slice(3, 0, 1), "dilation", 0),
     "dilated_slice k": (lambda: geometry.SliceSpec.dilated_slice(3, 2, 4), "slice index", 4),
     "mc_volumes": (lambda: geometry.mc_volumes([_unit_slab()], 0, 1), "sample count", 0),
     "minkowski_poly d": (lambda: geometry.minkowski_poly(0, 0), "dimension", 0),
     "minkowski_poly k": (lambda: geometry.minkowski_poly(3, 4), "slice index k", 4),
-    "truncated_pow": (lambda: numcore.truncated_pow(2, -1), "exponent", -1),
     "Polynomial.__pow__": (lambda: Polynomial([1, 1]) ** -1, "exponent", -1),
 }
 

@@ -97,6 +97,9 @@ def test_row_invariants_via_spline(d):
     for k in range(1, d + 1):
         assert row.value(k) == row.value(d + 1 - k)
     assert row.value(0) == 0 and row.value(d + 1) == 0
+    # Outside 1..d the spline argument k leaves the open support (0, d + 1).
+    for k in (-d - 2, -1, 0, d + 1, d + 2, 3 * d):
+        assert eulerian_spline(d, k) == 0
 
 
 def test_refined_examples_dimension_one():

@@ -65,7 +65,8 @@ def test_slice_spec_validation():
 
 
 def test_slice_constructors():
-    t = SliceSpec.cube_slice(3, 2)
+    # The unit slab between sums 1 and 2 is the n = 1 dilated slab 1.
+    t = SliceSpec.dilated_slice(3, 1, 1)
     assert (t.d, t.scale, t.lower, t.upper) == (3, 1, 1, 2)
     x = SliceSpec.dilated_slice(2, 2, 1)
     assert (x.d, x.scale, x.lower, x.upper) == (2, 2, 1, 3)
@@ -84,7 +85,7 @@ def test_whole_cube_is_exact():
 
 
 def test_mc_determinism_and_frozen_values():
-    spec = SliceSpec.cube_slice(2, 1)
+    spec = SliceSpec.dilated_slice(2, 1, 0)
     est = mc_volume(spec, 10_000, 42)
     again = mc_volume(spec, 10_000, 42)
     assert est == again
@@ -116,7 +117,7 @@ def test_mc_seed_is_reported_mod_2_64():
 
 
 def test_mc_unit_slab_near_eulerian_value():
-    est = mc_volume(SliceSpec.cube_slice(2, 1), 10_000, 42)
+    est = mc_volume(SliceSpec.dilated_slice(2, 1, 0), 10_000, 42)
     assert abs(est.estimate - 1) <= 4 * est.standard_error
 
 
@@ -127,15 +128,16 @@ def test_mc_dilated_slab_near_descent_value():
 
 
 def test_mc_band_is_not_zero_for_a_slab_without_hits():
-    # Slab 1 of the 8-cube has probability 1/8!, so 10^4 samples miss it.
-    spec = SliceSpec.cube_slice(8, 1)
+    # The slab between sums 0 and 1 of the 8-cube has probability 1/8!,
+    # so 10^4 samples miss it.
+    spec = SliceSpec.dilated_slice(8, 1, 0)
     est = mc_volume(spec, 10_000, 101)
     assert est.hits == 0 and est.standard_error == 0
     assert abs(est.estimate - 1) <= mc_band(spec, 1, 10_000)
 
 
 def test_mc_band_still_catches_a_wrong_exact_value():
-    spec = SliceSpec.cube_slice(4, 2)
+    spec = SliceSpec.dilated_slice(4, 1, 1)
     exact = eulerian_spline(4, 2)
     est = mc_volume(spec, 100_000, 101)
     assert abs(est.estimate - exact) <= mc_band(spec, exact, 100_000)
@@ -189,7 +191,7 @@ def test_batched_estimates_across_the_int64_dimension_limit():
     # down to an empty hit range (lower = upper off the 2^-53 grid)
     specs = [
         SliceSpec(d=1100, scale=1, lower=Fraction(546), upper=Fraction(554)),
-        SliceSpec.cube_slice(2, 1),
+        SliceSpec.dilated_slice(2, 1, 0),
         SliceSpec(d=2, scale=3, lower=Fraction(1, 3), upper=Fraction(1, 3)),
         SliceSpec(d=1100, scale=1, lower=Fraction(0), upper=Fraction(550)),
         SliceSpec.dilated_slice(2, 2, 1),
@@ -220,7 +222,7 @@ def test_huge_denominator_bound_keeps_the_hits_of_its_rounded_slab():
 
 
 def test_mc_estimate_bounds():
-    spec = SliceSpec.cube_slice(4, 2)
+    spec = SliceSpec.dilated_slice(4, 1, 1)
     est = mc_volume(spec, 1000, 123)
     assert 0 <= est.estimate <= factorial(4)
     with pytest.raises(ValueError):
@@ -308,5 +310,5 @@ def test_geometry_argument_validation():
 def test_mc_is_deterministic(d, k, seed):
     if k > d:
         k = d
-    spec = SliceSpec.cube_slice(d, k)
+    spec = SliceSpec.dilated_slice(d, 1, k - 1)
     assert mc_volume(spec, 500, seed) == mc_volume(spec, 500, seed)

@@ -11,7 +11,6 @@ from splinecomb.numcore import (
     factorial,
     format_rational,
     parse_rational,
-    truncated_pow,
 )
 
 
@@ -47,26 +46,6 @@ def test_factorial():
     # frozen from iterated multiplication, cross-checked as 25 * 24!
     assert factorial(25) == 15511210043330985984000000
     assert factorial(25) == 25 * factorial(24)
-
-
-def test_truncated_pow_examples():
-    assert truncated_pow(Fraction(-3, 2), 4) == 0
-    assert truncated_pow(Fraction(1, 2), 3) == Fraction(1, 8)
-    assert truncated_pow(0, 0) == 1
-    assert truncated_pow(0, 5) == 0
-
-
-def test_negative_exponents_rejected():
-    with pytest.raises(ValueError):
-        truncated_pow(Fraction(2), -1)
-
-
-@given(
-    st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10**6),
-    st.integers(min_value=0, max_value=12),
-)
-def test_truncated_equals_plain_power_on_positives(x, e):
-    assert truncated_pow(x, e) == x**e
 
 
 @given(

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinecomb.errors import IndexOutOfSupport
 from splinecomb.polyring import Polynomial
 from splinecomb.splinecore import (
     bspline_eval_explicit,
@@ -58,6 +57,12 @@ def test_recurrence_base_case_is_right_continuous():
 def test_explicit_base_case_matches():
     assert bspline_eval_explicit(1, 0) == 1
     assert bspline_eval_explicit(1, 1) == 0
+    assert bspline_eval_explicit(1, Fraction(1, 2)) == 1
+    # At a knot the term with shift i == x has base 0: 0**0 == 1 keeps B_1
+    # right-continuous, and 0**e == 0 for e >= 1 keeps higher orders continuous.
+    assert bspline_eval_explicit(2, 0) == 0
+    assert bspline_eval_explicit(2, 1) == 1
+    assert bspline_eval_explicit(3, 0) == 0
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -77,9 +82,9 @@ def test_piece_examples():
 
 
 def test_piece_out_of_support():
-    with pytest.raises(IndexOutOfSupport):
+    with pytest.raises(ValueError, match=r"^piece index must be in 0\.\.2, got 3$"):
         bspline_piece(3, 3)
-    with pytest.raises(IndexOutOfSupport):
+    with pytest.raises(ValueError, match=r"^piece index must be in 0\.\.1, got -1$"):
         bspline_piece(2, -1)
 
 
