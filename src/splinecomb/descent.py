@@ -41,11 +41,6 @@ class DescentTable:
         """The generating polynomial D_d^n(t) = sum_k values[k] * t^k."""
         return Polynomial(self.values)
 
-    def value(self, k: int) -> int:
-        if 0 <= k <= self.d:
-            return self.values[k]
-        return 0
-
 
 def _check_args(d: int, n: int) -> None:
     check_range("dimension", d, 1)

@@ -7,25 +7,27 @@ slabs, whose coefficients are refined Eulerian numbers.
 
 Volumes are normalized so the d-cube has volume d!, which makes every slab
 volume an integer.  The Monte Carlo estimator is fully deterministic: the
-PRNG is splitmix64 (additive constant 0x9E3779B97F4A7C15, then one output
-mix `_mix` with multipliers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB for
-both the scalar stream and the vectorized blocks).  A coordinate is
-(output >> 11) / 2^53 scaled by the dilation, so a sample hits the slab
-exactly when the integer sum U of its d raw coordinates lies in the integer
-range [ceil(lower 2^53 / scale), floor(upper 2^53 / scale)].  The samples
-depend on (d, samples, seed) alone, so `mc_volumes`, the batched entry,
-draws one stream per d and tests each sample's U against the hit range of
-every slab of that d; `mc_volume` is its one-slab case.  The dimension
-alone picks the counter: numpy int64 for d <= 512, Python integers above.
-Both count the same hits, so estimates are reproducible bit-for-bit.
-numpy is imported by the vector counter only, not with this module.
+PRNG is splitmix64, whose state starts at the seed mod 2^64 and gains the
+constant 0x9E3779B97F4A7C15 before each output, the output being the mix
+`_mix` of the state (multipliers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).
+`splitmix64_stream` is that loop, the scalar reference; the counter reads
+the same stream as numpy blocks.  A coordinate is (output >> 11) / 2^53
+scaled by the dilation, so a sample hits the slab exactly when the integer
+sum U of its d raw coordinates lies in the integer range
+[ceil(lower 2^53 / scale), floor(upper 2^53 / scale)].  The samples depend
+on (d, samples, seed) alone, so `mc_volumes`, the batched entry, draws one
+stream per d and tests each sample's U against the hit range of every slab
+of that d; `mc_volume` is its one-slab case.  One counter serves every d:
+it reads the stream in chunks of 2^16 coordinates and sums U in numpy int64
+for d <= 512, in Python integers above, where int64 could overflow, so
+estimates are reproducible bit-for-bit.  numpy is imported by that counter,
+not with this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import ceil, floor, isqrt
 
 from . import descent
@@ -43,8 +45,8 @@ _COORD_BITS = 53
 # in [0, d * 2^53]: while d * (2^53 - 1) < 2^62 (d <= 512) they fit in int64.
 _VECTOR_D_MAX = ((1 << 62) - 1) // ((1 << _COORD_BITS) - 1)
 
-# Samples per vector chunk: at d = 6 a chunk's block is 768 KiB of uint64.
-_CHUNK_SAMPLES = 1 << 14
+# Coordinates per counter chunk: a block of 512 KiB of uint64 at every d.
+_CHUNK_COORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,17 +95,15 @@ def _mix(z):
     return z ^ (z >> 31)
 
 
-def _splitmix64(seed: int):
-    """Endless scalar splitmix64 output stream started from `seed`."""
-    state = seed & _MASK64
-    while True:
-        state = (state + _GAMMA) & _MASK64
-        yield _mix(state)
-
-
 def splitmix64_stream(seed: int, count: int) -> list[int]:
-    """First `count` outputs of splitmix64 started from `seed` (scalar form)."""
-    return list(islice(_splitmix64(seed), count))
+    """First `count` outputs of splitmix64 started from `seed`: the scalar
+    reference, which adds gamma to the 64-bit state and emits its mix."""
+    state = seed & _MASK64
+    out = []
+    for _ in range(count):
+        state = (state + _GAMMA) & _MASK64
+        out.append(_mix(state))
+    return out
 
 
 def _splitmix64_block(seed: int, start: int, count: int):
@@ -127,36 +127,26 @@ def _hit_range(spec: SliceSpec) -> tuple[int, int]:
     return lo, hi
 
 
-def _count_hits_vector(d: int, ranges: list[tuple[int, int]], samples: int, seed: int) -> list[int]:
+def _count_hits(d: int, ranges: list[tuple[int, int]], samples: int, seed: int) -> list[int]:
     """Hits of each [lo, hi] in `ranges` among the first `samples` samples
-    of dimension d, with U summed in numpy int64 one chunk at a time."""
+    of dimension d, read from the stream in chunks of whole samples, at
+    most max(_CHUNK_COORDS, d) coordinates each.  U is summed in numpy
+    int64 while d <= _VECTOR_D_MAX and in Python integers (object dtype)
+    above, where int64 could overflow."""
     import numpy as np
 
-    lo, hi = np.array(ranges, dtype=np.int64).T
+    dtype = np.int64 if d <= _VECTOR_D_MAX else object
+    lo, hi = np.array(ranges, dtype=dtype).T
     hits = np.zeros(len(ranges), dtype=np.int64)
-    done = 0
-    while done < samples:
-        n = min(_CHUNK_SAMPLES, samples - done)
-        u = _splitmix64_block(seed, done * d, n * d) >> np.uint64(11)
-        total = np.sort(u.view(np.int64).reshape(n, d).sum(axis=1))
+    step = max(1, _CHUNK_COORDS // d)
+    for done in range(0, samples, step):
+        n = min(step, samples - done)
+        u = (_splitmix64_block(seed, done * d, n * d) >> np.uint64(11)).view(np.int64)
+        total = np.sort(u.reshape(n, d).sum(axis=1, dtype=dtype))
         # #(U <= hi) - #(U < lo) counts lo <= U <= hi, as lower <= upper
         # keeps hi >= lo - 1.
         hits += np.searchsorted(total, hi, side="right") - np.searchsorted(total, lo, side="left")
-        done += n
     return [int(h) for h in hits]
-
-
-def _count_hits_exact(d: int, ranges: list[tuple[int, int]], samples: int, seed: int) -> list[int]:
-    """Hits of each [lo, hi] in `ranges` among the first `samples` samples
-    of dimension d, with U summed in Python integers."""
-    hits = [0] * len(ranges)
-    stream = _splitmix64(seed)
-    for _ in range(samples):
-        total = sum(z >> 11 for z in islice(stream, d))
-        for i, (lo, hi) in enumerate(ranges):
-            if lo <= total <= hi:
-                hits[i] += 1
-    return hits
 
 
 def _sqrt_upper_bound(value: Fraction) -> Fraction:
@@ -188,10 +178,7 @@ def mc_volumes(specs, samples: int, seed: int) -> tuple[VolumeEstimate, ...]:
     for spec in specs:
         ranges.setdefault(spec.d, []).append(_hit_range(spec))
     # one iterator of hit counts per d, read back in input order
-    hits = {
-        d: iter((_count_hits_vector if d <= _VECTOR_D_MAX else _count_hits_exact)(d, r, samples, seed))
-        for d, r in ranges.items()
-    }
+    hits = {d: iter(_count_hits(d, r, samples, seed)) for d, r in ranges.items()}
     return tuple(_volume_estimate(spec, next(hits[spec.d]), samples, seed) for spec in specs)
 
 

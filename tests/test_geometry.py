@@ -2,17 +2,20 @@
 
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splinecomb import geometry
 from splinecomb.descent import descent_spline
 from splinecomb.eulerian import eulerian_spline, refined_bruteforce, refined_explicit, refined_triangle
 from splinecomb.geometry import (
+    _CHUNK_COORDS,
+    _VECTOR_D_MAX,
     SliceSpec,
-    _count_hits_exact,
-    _count_hits_vector,
+    _count_hits,
     _hit_range,
     _sqrt_upper_bound,
     _volume_estimate,
@@ -36,6 +39,20 @@ SPLITMIX_SEED0 = [
     17909611376780542444,
     1961750202426094747,
 ]
+
+
+@lru_cache(maxsize=64)
+def reference_sums(d, samples, seed):
+    """U of each sample: the sum of `z >> 11` over consecutive d-slices of
+    the scalar stream, in Python integers."""
+    stream = splitmix64_stream(seed, samples * d)
+    return tuple(sum(z >> 11 for z in stream[i : i + d]) for i in range(0, samples * d, d))
+
+
+def reference_hits(d, ranges, samples, seed):
+    """Hits of each [lo, hi] in `ranges`, counted from the scalar stream."""
+    sums = reference_sums(d, samples, seed)
+    return [sum(lo <= u <= hi for u in sums) for lo, hi in ranges]
 
 
 def test_splitmix64_reference_vector():
@@ -94,7 +111,7 @@ def test_mc_determinism_and_frozen_values():
     other_seed = mc_volume(spec, 10_000, 43)
     assert other_seed.hits != est.hits
     ranges = [_hit_range(spec)]
-    assert _count_hits_exact(2, ranges, 5000, 7) == _count_hits_vector(2, ranges, 5000, 7) == [2547]
+    assert _count_hits(2, ranges, 5000, 7) == reference_hits(2, ranges, 5000, 7) == [2547]
 
 
 # SHA-256 of "<label> seed=<seed> hits=<hits>\n" over mc_pairs at 10^4 samples,
@@ -158,8 +175,9 @@ def test_mc_band_is_four_outward_rounded_standard_errors():
 @st.composite
 def slice_specs(draw):
     """Random slabs, with scales up to 3 * 10^18 and bound denominators up
-    to 2^70 + 1: far past int64 before the hit test is reduced to a range."""
-    d = draw(st.integers(min_value=1, max_value=7))
+    to 2^70 + 1: far past int64 before the hit test is reduced to a range.
+    d is small, or past the int64 limit of the coordinate sum."""
+    d = draw(st.one_of(st.integers(min_value=1, max_value=7), st.sampled_from([513, 1025, 1100])))
     scale = draw(st.one_of(st.integers(1, 5), st.integers(10**18, 3 * 10**18)))
     bounds = []
     for _ in range(2):
@@ -169,25 +187,37 @@ def slice_specs(draw):
     return SliceSpec(d=d, scale=scale, lower=lower, upper=upper)
 
 
+@st.composite
+def specs_and_samples(draw, max_specs):
+    """Up to `max_specs` random slabs and a sample count: up to 300, or up
+    to 40 when a slab's d is past the int64 limit, to bound the scalar
+    reference's work."""
+    specs = draw(st.lists(slice_specs(), min_size=1, max_size=max_specs))
+    big = any(spec.d > _VECTOR_D_MAX for spec in specs)
+    return specs, draw(st.integers(1, 40 if big else 300))
+
+
 @settings(max_examples=80, deadline=None)
-@given(slice_specs(), st.integers(1, 300), st.integers(-(2**65), 2**65))
-def test_exact_and_vector_hit_counts_agree(spec, samples, seed):
+@given(specs_and_samples(1), st.integers(-(2**65), 2**65))
+def test_hit_counts_match_the_scalar_reference(specs_samples, seed):
+    (spec,), samples = specs_samples
     ranges = [_hit_range(spec)]
-    assert _count_hits_vector(spec.d, ranges, samples, seed) == _count_hits_exact(spec.d, ranges, samples, seed)
+    assert _count_hits(spec.d, ranges, samples, seed) == reference_hits(spec.d, ranges, samples, seed)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(slice_specs(), min_size=1, max_size=8), st.integers(1, 300), st.integers(-(2**65), 2**65))
-def test_batched_estimates_equal_one_slab_at_a_time(specs, samples, seed):
+@given(specs_and_samples(8), st.integers(-(2**65), 2**65))
+def test_batched_estimates_equal_one_slab_at_a_time(specs_samples, seed):
+    specs, samples = specs_samples
     estimates = mc_volumes(specs, samples, seed)
     assert len(estimates) == len(specs)
     for spec, est in zip(specs, estimates):
-        hits = _count_hits_exact(spec.d, [_hit_range(spec)], samples, seed)
-        assert est == _volume_estimate(spec, hits[0], samples, seed)
+        (hits,) = reference_hits(spec.d, [_hit_range(spec)], samples, seed)
+        assert est == _volume_estimate(spec, hits, samples, seed)
 
 
 def test_batched_estimates_across_the_int64_dimension_limit():
-    # one call mixing both counters keeps each slab's single-slab estimate,
+    # one call mixing both sum dtypes keeps each slab's single-slab estimate,
     # down to an empty hit range (lower = upper off the 2^-53 grid)
     specs = [
         SliceSpec(d=1100, scale=1, lower=Fraction(546), upper=Fraction(554)),
@@ -204,12 +234,29 @@ def test_batched_estimates_across_the_int64_dimension_limit():
 
 @pytest.mark.parametrize("d", [512, 1100])
 def test_hit_counts_on_both_sides_of_the_int64_dimension_limit(d):
-    # d = 512 is the last dimension counted in int64; at d = 1100 an int64
-    # coordinate sum could overflow, so mc_volume counts in Python integers.
+    # d = 512 is the last dimension summed in int64; at d = 1100 an int64
+    # coordinate sum could overflow, so the counter sums in Python integers.
     spec = SliceSpec(d=d, scale=1, lower=Fraction(d, 2) - 4, upper=Fraction(d, 2) + 4)
     est = mc_volume(spec, 40, 17)
     assert 0 < est.hits < 40
-    assert [est.hits] == _count_hits_exact(d, [_hit_range(spec)], 40, 17)
+    assert [est.hits] == reference_hits(d, [_hit_range(spec)], 40, 17)
+
+
+@pytest.mark.parametrize("d", [1, 6, 512, 513, 1100])
+def test_counter_reads_the_stream_in_bounded_chunks(monkeypatch, d):
+    # Each chunk is whole samples of at most max(_CHUNK_COORDS, d)
+    # coordinates, and the chunks read the stream back to back.
+    blocks = []
+    block = geometry._splitmix64_block
+    monkeypatch.setattr(
+        geometry, "_splitmix64_block", lambda seed, start, count: blocks.append((start, count)) or block(seed, start, count)
+    )
+    samples = 3 * _CHUNK_COORDS // d + 5
+    mc_volume(SliceSpec(d=d, scale=1, lower=Fraction(d, 4), upper=Fraction(3 * d, 4)), samples, 9)
+    assert len(blocks) >= 2
+    assert all(count <= max(_CHUNK_COORDS, d) and count % d == 0 for _, count in blocks)
+    assert [start for start, _ in blocks] == [sum(count for _, count in blocks[:i]) for i in range(len(blocks))]
+    assert sum(count for _, count in blocks) == d * samples
 
 
 def test_huge_denominator_bound_keeps_the_hits_of_its_rounded_slab():
