@@ -16,7 +16,7 @@ Example:
 import argparse
 import sys
 
-from splinecomb.cli import _positive_int
+from splinecomb.cli import _at_least
 from splinecomb.numcore import format_rational
 from splinecomb.verify import VerifyConfig, mc_pairs
 
@@ -27,10 +27,11 @@ def _seed_list(text: str) -> tuple[int, ...]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--d-max", type=_positive_int, default=VerifyConfig.d_max)
-    parser.add_argument("--dilated-d-max", type=_positive_int, default=VerifyConfig.mc_dilated_d_max)
-    parser.add_argument("--n-max", type=_positive_int, default=VerifyConfig.n_max)
-    parser.add_argument("--samples", type=_positive_int, default=VerifyConfig.mc_samples)
+    positive = _at_least(1)
+    parser.add_argument("--d-max", type=positive, default=VerifyConfig.d_max)
+    parser.add_argument("--dilated-d-max", type=positive, default=VerifyConfig.mc_dilated_d_max)
+    parser.add_argument("--n-max", type=positive, default=VerifyConfig.n_max)
+    parser.add_argument("--samples", type=positive, default=VerifyConfig.mc_samples)
     parser.add_argument("--seeds", type=_seed_list, default=VerifyConfig.mc_seeds,
                         help="comma-separated seed list")
     args = parser.parse_args(argv)

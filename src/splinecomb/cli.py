@@ -25,11 +25,17 @@ from .numcore import factorial, format_rational, parse_rational
 from .verify import VerifyConfig, VerifyReport
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(lo: int) -> Callable[[str], int]:
+    """An argparse type for an integer >= lo.  It words its own refusal:
+    argparse prints only the text of an ArgumentTypeError."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return integer
 
 
 def _required(flag: str, type=int) -> tuple[str, dict]:
@@ -41,15 +47,16 @@ def _route(routes: dict) -> tuple[str, dict]:
     return "--route", {"choices": tuple(routes), "default": next(iter(routes))}
 
 
-_D = _required("--d", _positive_int)
-_N = _required("--n", _positive_int)
-_D_MAX = ("--d-max", {"type": _positive_int, "default": VerifyConfig.d_max})
-_N_MAX = ("--n-max", {"type": _positive_int, "default": VerifyConfig.n_max})
+_POSITIVE = _at_least(1)
+_D = _required("--d", _POSITIVE)
+_N = _required("--n", _POSITIVE)
+_D_MAX = ("--d-max", {"type": _POSITIVE, "default": VerifyConfig.d_max})
+_N_MAX = ("--n-max", {"type": _POSITIVE, "default": VerifyConfig.n_max})
 # Only the leaves that may enumerate take a budget.
 _BUDGET = (
     "--budget",
     {
-        "type": _positive_int,
+        "type": _POSITIVE,
         "default": DEFAULT_ENUMERATION_BUDGET,
         "help": "most objects any brute-force enumeration may visit",
     },
@@ -83,7 +90,7 @@ def _coefficients(poly) -> tuple[list, dict]:
 
 
 def _eulerian_row(row: eulerian.EulerianRow) -> tuple[list, dict]:
-    rows = [(k, row.value(k)) for k in range(1, row.d + 1)]
+    rows = list(enumerate(row.values, 1))
     return rows, {"values": [str(v) for v in row.values]}
 
 
@@ -192,7 +199,7 @@ def _leaves() -> dict[str, _Leaf]:
                 _required("--scale"),
                 _required("--lower", parse_rational),
                 _required("--upper", parse_rational),
-                _required("--samples", _positive_int),
+                _required("--samples", _POSITIVE),
                 _required("--seed"),
             ),
             lambda a: geometry.mc_volume(
@@ -217,7 +224,7 @@ def _leaves() -> dict[str, _Leaf]:
                 (
                     "--samples",
                     {
-                        "type": _positive_int,
+                        "type": _POSITIVE,
                         "default": VerifyConfig.mc_samples,
                         "help": "Monte Carlo samples per slice/seed",
                     },

@@ -24,7 +24,7 @@ from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, check_range
 from .eulerian import _as_int, _descent_grid, _descent_marginal, refined_explicit
 from .numcore import binomial, factorial
 from .polyring import Polynomial
-from .splinecore import bspline_eval_explicit
+from .splinecore import _log_concavity_margins, bspline_eval_explicit
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,7 @@ def log_concavity_verdict(table: DescentTable) -> list[int]:
     All margins are >= 0 exactly when the histogram is log-concave; the
     empty list for d = 1 is vacuously log-concave.
     """
-    v = table.values
-    return [v[k] * v[k] - v[k - 1] * v[k + 1] for k in range(1, table.d)]
+    return _log_concavity_margins(table.values)
 
 
 def descent_two_scale_residual(d: int, n: int, k: int) -> int:

@@ -30,12 +30,6 @@ class EulerianRow:
     d: int
     values: tuple[int, ...]
 
-    def value(self, k: int) -> int:
-        """A(d, k), with out-of-range k giving 0."""
-        if 1 <= k <= self.d:
-            return self.values[k - 1]
-        return 0
-
 
 @dataclass(frozen=True)
 class RefinedTriangle:

@@ -140,22 +140,23 @@ def partition_residual(d: int, x: Fraction | int) -> Fraction:
     return total - 1
 
 
+def _log_concavity_margins(v):
+    """Interior margins v[k]^2 - v[k-1] * v[k+1], k = 1..len(v)-2, of both
+    log-concavity checks: all >= 0 exactly when v is log-concave."""
+    return [v[k] * v[k] - v[k - 1] * v[k + 1] for k in range(1, len(v) - 1)]
+
+
 def log_concavity_witness(d: int, grid_denominator: int) -> list[Fraction]:
     """Exact discrete log-concavity margins of B_d on a rational grid.
 
-    Samples x = m/q over the open support (0, d) and returns
-    B(x)^2 - B(x - 1/q) * B(x + 1/q) for every interior sample.  All
-    margins are >= 0 for a log-concave function; neighbours that fall
-    outside the support contribute 0, making those margins trivially
-    non-negative.
+    Evaluates B_d once at each grid point x = m/q, m = 0..d*q, and returns
+    B(x)^2 - B(x - 1/q) * B(x + 1/q) for every interior sample 0 < x < d.
+    All margins are >= 0 for a log-concave function; the end points lie
+    outside the open support and contribute 0, making their neighbours'
+    margins trivially non-negative.
     """
     check_range("log-concavity sampling order", d, 2)
     check_range("grid denominator", grid_denominator, 1)
     q = grid_denominator
-    margins = []
-    for m in range(1, d * q):
-        centre = bspline_eval_explicit(d, Fraction(m, q))
-        left = bspline_eval_explicit(d, Fraction(m - 1, q))
-        right = bspline_eval_explicit(d, Fraction(m + 1, q))
-        margins.append(centre * centre - left * right)
-    return margins
+    grid = [bspline_eval_explicit(d, Fraction(m, q)) for m in range(d * q + 1)]
+    return _log_concavity_margins(grid)

@@ -43,8 +43,11 @@ class VerifyConfig:
 class VerifyReport:
     suite: str
     cases_run: int
-    cases_failed: int
     failures: tuple[tuple[str, str, str], ...]
+
+    @property
+    def cases_failed(self) -> int:
+        return len(self.failures)
 
     @property
     def ok(self) -> bool:
@@ -71,12 +74,7 @@ class _Recorder:
             self.failures.append((case, ">= 0", _render(value)))
 
     def report(self) -> VerifyReport:
-        return VerifyReport(
-            suite=self.suite,
-            cases_run=self.cases,
-            cases_failed=len(self.failures),
-            failures=tuple(self.failures),
-        )
+        return VerifyReport(suite=self.suite, cases_run=self.cases, failures=tuple(self.failures))
 
 
 def _render(value) -> str:
@@ -143,7 +141,7 @@ def verify_eulerian(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         spline_row = _cross_routes(rec, "row", f"d={d}", eulerian.ROW_ROUTES, d, config.budget)
         rec.check(f"row-sum d={d}", factorial(d), sum(spline_row.values))
         for k in range(1, d + 1):
-            rec.check(f"symmetry d={d} k={k}", spline_row.value(k), spline_row.value(d + 1 - k))
+            rec.check(f"symmetry d={d} k={k}", spline_row.values[k - 1], spline_row.values[d - k])
             rec.check(
                 f"two-scale d={d} k={k}",
                 Fraction(0),

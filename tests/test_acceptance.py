@@ -30,7 +30,7 @@ def test_criterion_01_eulerian_route_equivalence():
     for d in range(1, 9):
         brute = eulerian.eulerian_bruteforce(d)
         for k in range(1, d + 1):
-            if eulerian.eulerian_spline(d, k) != brute.value(k):
+            if eulerian.eulerian_spline(d, k) != brute.values[k - 1]:
                 bad.append((d, k))
     _criterion(1, "eulerian spline == descent counting over S_d, d <= 8", not bad, started,
                detail=f" mismatches={bad}" if bad else "")

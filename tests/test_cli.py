@@ -255,10 +255,8 @@ def test_failed_verification_exits_1(capsys):
     class Args:
         format = "json"
 
-    failing = VerifyReport(
-        suite="demo", cases_run=2, cases_failed=1, failures=(("case", "1", "2"),)
-    )
-    passing = VerifyReport(suite="other", cases_run=1, cases_failed=0, failures=())
+    failing = VerifyReport(suite="demo", cases_run=2, failures=(("case", "1", "2"),))
+    passing = VerifyReport(suite="other", cases_run=1, failures=())
     code = _emit_reports(Args(), [passing, failing])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -339,7 +337,7 @@ finally:
 """
 
 
-def test_numpy_is_imported_only_by_the_vector_monte_carlo_path():
+def test_numpy_is_imported_only_by_the_monte_carlo_counter():
     imported = subprocess.run(
         [sys.executable, "-c", "import sys, splinecomb; print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True,

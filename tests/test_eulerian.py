@@ -95,8 +95,7 @@ def test_row_invariants_via_spline(d):
     assert sum(row.values) == factorial(d)
     assert all(v >= 1 for v in row.values)
     for k in range(1, d + 1):
-        assert row.value(k) == row.value(d + 1 - k)
-    assert row.value(0) == 0 and row.value(d + 1) == 0
+        assert row.values[k - 1] == row.values[d - k]
     # Outside 1..d the spline argument k leaves the open support (0, d + 1).
     for k in (-d - 2, -1, 0, d + 1, d + 2, 3 * d):
         assert eulerian_spline(d, k) == 0
@@ -190,4 +189,4 @@ def test_argument_validation():
 @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=7))
 def test_spline_row_entry_equals_bruteforce(d, k):
     brute = eulerian_bruteforce(d)
-    assert eulerian_spline(d, k) == brute.value(k)
+    assert eulerian_spline(d, k) == (brute.values[k - 1] if 1 <= k <= d else 0)

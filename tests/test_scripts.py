@@ -60,20 +60,24 @@ def test_log_concavity_margins():
     assert [tuple(row.split(",")[:2]) for row in rows] == [("2", "1"), ("2", "2"), ("3", "1"), ("3", "2")]
 
 
+# (script, argv, the refusal argparse prints for the value).
+USAGE_ERRORS = [
+    ("mc_volume_sweep.py", ("--samples", "0"), "must be >= 1, got 0"),
+    ("mc_volume_sweep.py", ("--d-max", "0"), "must be >= 1, got 0"),
+    ("mc_volume_sweep.py", ("--n-max", "-1"), "must be >= 1, got -1"),
+    ("mc_volume_sweep.py", ("--dilated-d-max", "0"), "must be >= 1, got 0"),
+    ("mc_volume_sweep.py", ("--seeds", "1,x"), "invalid _seed_list value: '1,x'"),
+    ("log_concavity_margins.py", ("--n-max", "0"), "must be >= 1, got 0"),
+    ("log_concavity_margins.py", ("--d-max", "1"), "must be >= 2, got 1"),
+]
+
+
 @pytest.mark.parametrize(
-    "name, args",
-    [
-        ("mc_volume_sweep.py", ("--samples", "0")),
-        ("mc_volume_sweep.py", ("--d-max", "0")),
-        ("mc_volume_sweep.py", ("--n-max", "-1")),
-        ("mc_volume_sweep.py", ("--dilated-d-max", "0")),
-        ("mc_volume_sweep.py", ("--seeds", "1,x")),
-        ("log_concavity_margins.py", ("--n-max", "0")),
-        ("log_concavity_margins.py", ("--d-max", "1")),
-    ],
+    "name, args, message", USAGE_ERRORS, ids=[f"{name}-args{i}" for i, (name, *_) in enumerate(USAGE_ERRORS)]
 )
-def test_empty_or_invalid_sweeps_are_usage_errors(name, args):
+def test_empty_or_invalid_sweeps_are_usage_errors(name, args, message):
     result = run_script(name, *args)
     assert result.returncode == 2
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
+    assert result.stderr.endswith(f"error: argument {args[0]}: {message}\n")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splinecomb import splinecore
 from splinecomb.polyring import Polynomial
 from splinecomb.splinecore import (
     bspline_eval_explicit,
@@ -174,6 +175,22 @@ def test_log_concavity_witness_nonnegative(d, q):
     margins = log_concavity_witness(d, q)
     assert len(margins) == d * q - 1
     assert all(m >= 0 for m in margins)
+
+
+def test_log_concavity_witness_evaluates_each_grid_point_once(monkeypatch):
+    calls = []
+
+    def counted(order, x):
+        calls.append(x)
+        return bspline_eval_explicit(order, x)
+
+    monkeypatch.setattr(splinecore, "bspline_eval_explicit", counted)
+    for d, q in [(3, 2), (2, 1), (5, 8)]:
+        calls.clear()
+        margins = log_concavity_witness(d, q)
+        assert len(calls) == d * q + 1
+        b = [bspline_eval_explicit(d, Fraction(m, q)) for m in range(d * q + 1)]
+        assert margins == [b[m] * b[m] - b[m - 1] * b[m + 1] for m in range(1, d * q)]
 
 
 def test_order_validation():

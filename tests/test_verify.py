@@ -46,13 +46,13 @@ def test_cross_routes_checks_against_the_first_and_skips_too_large():
 
 
 def test_report_invariant():
-    report = VerifyReport(suite="s", cases_run=3, cases_failed=0, failures=())
+    report = VerifyReport(suite="s", cases_run=3, failures=())
     assert report.cases_failed == len(report.failures) <= report.cases_run
     assert report.ok
 
 
 def test_a_suite_that_ran_no_case_is_not_a_pass():
-    assert not VerifyReport(suite="s", cases_run=0, cases_failed=0, failures=()).ok
+    assert not VerifyReport(suite="s", cases_run=0, failures=()).ok
     reports = verify_all(VerifyConfig(d_max=0))
     assert [(r.cases_run, r.ok) for r in reports] == [(0, False)] * 5
     unseeded = verify_mc(VerifyConfig(d_max=2, mc_seeds=()))
