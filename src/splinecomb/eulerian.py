@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, islice, permutations, product
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, NonIntegerResult, check_budget, check_range
 from .numcore import binomial, factorial
@@ -43,6 +43,15 @@ class RefinedTriangle:
     values: tuple[tuple[int, ...], ...]
 
 
+# Enumerations of at least this many objects are counted by numpy.  Below
+# it the scalar loop runs, so that small brute calls (5040 objects for
+# `eulerian row --d 7`, about 5 ms) do not pay numpy's import (about 0.1 s).
+_VECTOR_FLOOR = 2**16
+# At most this many (permutation, index vector) pairs per numpy chunk;
+# larger chunks were no faster and raised the peak memory.
+_CHUNK_PAIRS = 2**12
+
+
 def _descents(letters, indices) -> int:
     """Descents of a permutation whose letters carry indices.
 
@@ -50,7 +59,8 @@ def _descents(letters, indices) -> int:
     tie with the letters decreasing; position d descends when the last
     index is nonzero.  With every index 0 this is the ordinary count of
     positions i with letters[i] > letters[i+1].  The one descent rule of
-    every brute-force route.
+    every brute-force route: the scalar enumeration calls it per object,
+    and `_descents_array`, its numpy form, is tested against it.
     """
     d = len(letters)
     count = 0
@@ -63,14 +73,28 @@ def _descents(letters, indices) -> int:
     return count
 
 
+def _descents_array(letters, indices):
+    """`_descents` of many objects at once.  letters[i] and indices[i] are
+    numpy arrays holding position i of every object; past axis 0 the two
+    broadcast against each other."""
+    before, after = indices[:-1], indices[1:]
+    falls = (before > after) | ((before == after) & (letters[:-1] > letters[1:]))
+    return falls.sum(axis=0) + (indices[-1] > 0)
+
+
 def _descent_grid(d: int, n: int, budget: int, what: str) -> list[list[int]]:
     """Counts by (last letter, descents) over S_d x {0..n-1}^d (cost n^d * d!).
 
     grid[m-1][k] counts the indexed permutations ending with letter m that
     have k descents, 0 <= k <= d.  The only brute-force enumeration: every
-    brute route is a marginal or a re-indexing of this grid.
+    brute route is a marginal or a re-indexing of this grid.  Below
+    _VECTOR_FLOOR objects a loop calls `_descents` once per object; at or
+    above it `_descent_grid_vector` counts the same objects with numpy.
     """
-    check_budget(n**d * math.factorial(d), budget, what)
+    objects = n**d * math.factorial(d)
+    check_budget(objects, budget, what)
+    if objects >= _VECTOR_FLOOR:
+        return _descent_grid_vector(d, n)
     grid = [[0] * (d + 1) for _ in range(d)]
     index_vectors = list(product(range(n), repeat=d))
     for perm in permutations(range(1, d + 1)):
@@ -79,6 +103,33 @@ def _descent_grid(d: int, n: int, budget: int, what: str) -> list[list[int]]:
         for e in index_vectors:
             row[_descents(perm, e)] += 1
     return grid
+
+
+def _descent_grid_vector(d: int, n: int) -> list[list[int]]:
+    """`_descent_grid`'s counts, by numpy.
+
+    Every object is still enumerated and its descents counted by
+    `_descents_array`: the permutations are read in chunks of at most
+    _CHUNK_PAIRS (permutation, index vector) pairs, and each pair adds one
+    to the count keyed (last letter - 1) * (d + 1) + descents.
+    """
+    import numpy as np
+
+    # Position first: vectors[i, 0, e] is position i of index vector e,
+    # and letters[i, p, 0] position i of permutation p.
+    vectors = np.fromiter(chain.from_iterable(product(range(n), repeat=d)), np.min_scalar_type(n - 1))
+    vectors = np.ascontiguousarray(vectors.reshape(-1, d).T)[:, None, :]
+    block = min(vectors.shape[2], _CHUNK_PAIRS)
+    step = _CHUNK_PAIRS // block
+    counts = np.zeros(d * (d + 1), dtype=np.int64)
+    perms = permutations(range(1, d + 1))
+    for _ in range(0, math.factorial(d), step):
+        letters = np.fromiter(chain.from_iterable(islice(perms, step)), np.int8).reshape(-1, d).T[:, :, None]
+        rows = (letters[-1].astype(np.int64) - 1) * (d + 1)
+        for start in range(0, vectors.shape[2], block):
+            keys = rows + _descents_array(letters, vectors[..., start : start + block])
+            counts += np.bincount(keys.ravel(), minlength=d * (d + 1))
+    return counts.reshape(d, d + 1).tolist()
 
 
 def _descent_marginal(grid: list[list[int]]) -> list[int]:

@@ -23,10 +23,10 @@ from .numcore import binomial, factorial, format_rational
 class VerifyConfig:
     """Bounds for the verification sweeps.
 
-    At the defaults a full verify_all takes about 0.9 s in-process
-    (median 0.88 s, 0.82-1.03 s over seven runs, Python 3.11.7 on a
-    2-vCPU Linux host); raise them for deeper sweeps.  mc_samples applies
-    per (slice, seed) pair.
+    At the defaults a full verify_all takes about 0.5 s in-process
+    (medians 0.41, 0.42 and 0.54 s in three sets of seven warm runs,
+    0.35-0.57 s overall, Python 3.11.7 on a 2-vCPU Linux host); raise
+    them for deeper sweeps.  mc_samples applies per (slice, seed) pair.
     """
 
     d_max: int = 6

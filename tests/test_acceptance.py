@@ -27,19 +27,19 @@ def _criterion(number: int, name: str, ok: bool, started: float, detail: str = "
 def test_criterion_01_eulerian_route_equivalence():
     started = time.perf_counter()
     bad = []
-    for d in range(1, 9):
+    for d in range(1, 10):
         brute = eulerian.eulerian_bruteforce(d)
         for k in range(1, d + 1):
             if eulerian.eulerian_spline(d, k) != brute.values[k - 1]:
                 bad.append((d, k))
-    _criterion(1, "eulerian spline == descent counting over S_d, d <= 8", not bad, started,
+    _criterion(1, "eulerian spline == descent counting over S_d, d <= 9", not bad, started,
                detail=f" mismatches={bad}" if bad else "")
 
 
 def test_criterion_02_refined_route_equivalence():
     started = time.perf_counter()
     bad = []
-    for d in range(1, 8):
+    for d in range(1, 9):
         brute = eulerian.refined_bruteforce(d)
         for k in range(d + 1):
             for j in range(d + 1):
@@ -50,7 +50,7 @@ def test_criterion_02_refined_route_equivalence():
                 }
                 if len(values) != 1:
                     bad.append((d, k, j))
-    _criterion(2, "refined explicit == lambda extraction == S_{d+1} enumeration, d <= 7",
+    _criterion(2, "refined explicit == lambda extraction == S_{d+1} enumeration, d <= 8",
                not bad, started, detail=f" mismatches={bad}" if bad else "")
 
 

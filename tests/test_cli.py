@@ -337,7 +337,7 @@ finally:
 """
 
 
-def test_numpy_is_imported_only_by_the_monte_carlo_counter():
+def test_numpy_is_imported_only_by_the_counter_and_the_vector_oracle():
     imported = subprocess.run(
         [sys.executable, "-c", "import sys, splinecomb; print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True,
@@ -356,6 +356,22 @@ def test_numpy_is_imported_only_by_the_monte_carlo_counter():
     assert mc.stdout == (
         '{"d": 2, "scale": 2, "lower": "1", "upper": "3", "estimate": "7537/1250", '
         '"standard_error": "6093214423/250000000000", "hits": 15074, "samples": 20000, "seed": 7}\n'
+    )
+    # 7! = 5040 objects stay below the vector floor, on the scalar loop.
+    small = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, "eulerian", "row", "--d", "7", "--route", "brute"],
+        capture_output=True, text=True,
+    )
+    assert (small.returncode, small.stdout, small.stderr) == (
+        0, "1,1\n2,120\n3,1191\n4,2416\n5,1191\n6,120\n7,1\n", "False\n"
+    )
+    # 3^6 * 6! = 524880 objects reach it.
+    large = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, "descent", "table", "--d", "6", "--n", "3", "--route", "brute"],
+        capture_output=True, text=True,
+    )
+    assert (large.returncode, large.stdout, large.stderr) == (
+        0, "0,1\n1,4089\n2,88998\n3,262438\n4,154113\n5,15177\n6,64\n", "True\n"
     )
 
 

@@ -1,8 +1,11 @@
 """Eulerian numbers: spline route against enumeration, refined routes."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +48,55 @@ def test_descent_count():
     assert descent_count((3, 2, 1)) == 2
     assert descent_count((1, 3, 2)) == 1
     assert descent_count((1,)) == 0
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_vector_rule_matches_descents(data):
+    d = data.draw(st.integers(min_value=1, max_value=9))
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    pairs = data.draw(
+        st.lists(
+            st.tuples(
+                st.permutations(range(1, d + 1)),
+                st.lists(st.integers(min_value=0, max_value=n - 1), min_size=d, max_size=d),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    # Position first, one object per column, as _descent_grid_vector lays them out.
+    letters = np.array([p for p, _ in pairs], np.int8).T
+    indices = np.array([e for _, e in pairs], np.min_scalar_type(n - 1)).T
+    assert eulerian._descents_array(letters, indices).tolist() == [eulerian._descents(p, e) for p, e in pairs]
+
+
+BELOW_FLOOR = [
+    (d, n)
+    for d in range(1, 10)
+    for n in range(1, 7)
+    if n**d * math.factorial(d) < eulerian._VECTOR_FLOOR
+]
+
+
+@pytest.mark.parametrize("d, n", BELOW_FLOOR)
+def test_vector_grid_equals_scalar_grid(d, n):
+    # Below the floor _descent_grid is the scalar loop over _descents.
+    scalar = eulerian._descent_grid(d, n, n**d * math.factorial(d), "indexed permutations")
+    assert eulerian._descent_grid_vector(d, n) == scalar
+
+
+@pytest.mark.parametrize("d, n", [(9, 1), (7, 2), (6, 3), (6, 4)])
+def test_vector_grid_memory_is_bounded(d, n):
+    # numpy is imported with this module, so the trace sees only the
+    # enumeration's own arrays.
+    tracemalloc.start()
+    try:
+        eulerian._descent_grid_vector(d, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_spline_examples():
