@@ -109,25 +109,29 @@ def _descent_grid_vector(d: int, n: int) -> list[list[int]]:
     """`_descent_grid`'s counts, by numpy.
 
     Every object is still enumerated and its descents counted by
-    `_descents_array`: the permutations are read in chunks of at most
-    _CHUNK_PAIRS (permutation, index vector) pairs, and each pair adds one
-    to the count keyed (last letter - 1) * (d + 1) + descents.
+    `_descents_array`.  Index vectors are decoded from their ranks one
+    block at a time, and for each block the permutations are read afresh,
+    so that a chunk holds at most _CHUNK_PAIRS (permutation, index vector)
+    pairs.  Each pair adds one to the count keyed
+    (last letter - 1) * (d + 1) + descents.
     """
     import numpy as np
 
-    # Position first: vectors[i, 0, e] is position i of index vector e,
-    # and letters[i, p, 0] position i of permutation p.
-    vectors = np.fromiter(chain.from_iterable(product(range(n), repeat=d)), np.min_scalar_type(n - 1))
-    vectors = np.ascontiguousarray(vectors.reshape(-1, d).T)[:, None, :]
-    block = min(vectors.shape[2], _CHUNK_PAIRS)
+    vectors_total = n**d
+    block = min(vectors_total, _CHUNK_PAIRS)
     step = _CHUNK_PAIRS // block
+    places = n ** np.arange(d - 1, -1, -1)[:, None]
     counts = np.zeros(d * (d + 1), dtype=np.int64)
-    perms = permutations(range(1, d + 1))
-    for _ in range(0, math.factorial(d), step):
-        letters = np.fromiter(chain.from_iterable(islice(perms, step)), np.int8).reshape(-1, d).T[:, :, None]
-        rows = (letters[-1].astype(np.int64) - 1) * (d + 1)
-        for start in range(0, vectors.shape[2], block):
-            keys = rows + _descents_array(letters, vectors[..., start : start + block])
+    for start in range(0, vectors_total, block):
+        # Position first: vectors[i, 0, e] is position i of index vector e,
+        # digit i of e in base n, most significant first; letters[i, p, 0]
+        # is position i of permutation p.
+        vectors = np.arange(start, min(start + block, vectors_total)) // places % n
+        vectors = vectors.astype(np.min_scalar_type(n - 1))[:, None, :]
+        perms = permutations(range(1, d + 1))
+        for _ in range(0, math.factorial(d), step):
+            letters = np.fromiter(chain.from_iterable(islice(perms, step)), np.int8).reshape(-1, d).T[:, :, None]
+            keys = (letters[-1].astype(np.int64) - 1) * (d + 1) + _descents_array(letters, vectors)
             counts += np.bincount(keys.ravel(), minlength=d * (d + 1))
     return counts.reshape(d, d + 1).tolist()
 

@@ -143,31 +143,26 @@ class Polynomial:
 
 
 def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Polynomial:
-    """Lagrange interpolation through the given (x, y) points, exactly.
+    """Newton interpolation through the given (x, y) points, exactly.
 
-    Returns the unique polynomial of degree < len(points).  Raises
-    DuplicateNode if two abscissae coincide.
+    Divided differences, computed in place, give the Newton coefficients;
+    Horner's rule expands them.  Returns the unique polynomial of degree
+    < len(points).  Raises DuplicateNode if two abscissae coincide.
     """
     if not points:
         raise ValueError("need at least one point")
     xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
+    cs = [Fraction(y) for _, y in points]
     seen = set()
     for x in xs:
         if x in seen:
             raise DuplicateNode(f"duplicate interpolation node {format_rational(x)}")
         seen.add(x)
 
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
     result = Polynomial()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        basis = Polynomial([1])
-        denom = Fraction(1)
-        for m, xm in enumerate(xs):
-            if m == i:
-                continue
-            basis = basis * Polynomial([-xm, 1])
-            denom *= xi - xm
-        result = result + basis * (yi / denom)
+    for xi, ci in zip(reversed(xs), reversed(cs)):
+        result = result * Polynomial([-xi, 1]) + Polynomial([ci])
     return result

@@ -86,7 +86,7 @@ def test_vector_grid_equals_scalar_grid(d, n):
     assert eulerian._descent_grid_vector(d, n) == scalar
 
 
-@pytest.mark.parametrize("d, n", [(9, 1), (7, 2), (6, 3), (6, 4)])
+@pytest.mark.parametrize("d, n", [(9, 1), (7, 2), (6, 3), (6, 4), (1, 3 * 10**6), (2, 1200)])
 def test_vector_grid_memory_is_bounded(d, n):
     # numpy is imported with this module, so the trace sees only the
     # enumeration's own arrays.

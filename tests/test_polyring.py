@@ -117,9 +117,15 @@ def test_coefficient_strings():
     assert p.coefficient_strings() == ["1/2", "0", "-2"]
 
 
-@given(polys_st)
-def test_interpolation_round_trip(p):
-    nodes = [Fraction(i) for i in range(max(p.degree + 1, 1))]
+@given(polys_st, st.data())
+def test_interpolation_round_trip(p, data):
+    # Distinct nodes, negative or fractional, in any order, and sometimes
+    # more of them than the degree needs.
+    needed = p.degree + 1 or 1
+    count = data.draw(st.integers(needed, needed + 3))
+    nodes = data.draw(
+        st.lists(st.fractions(-20, 20, max_denominator=20), min_size=count, max_size=count, unique=True)
+    )
     assert interpolate([(x, p(x)) for x in nodes]) == p
 
 
