@@ -10,6 +10,13 @@ truncated-power sum and the order-lowering recurrence) plus piece
 extraction, exact integration, and residuals for the refinement and
 partition-of-unity identities.  Everything returns Fractions; out-of-
 support arguments give 0 rather than an error.
+
+Both evaluators work in plain ints at x = p/q in lowest terms (q > 0):
+each scales its formula by a common denominator, q^(d-1) * (d-1)!, sums
+integer terms, and builds one Fraction from the scaled sum at the end,
+so a value costs one gcd instead of one per term.  The two routes share
+no kernel beyond `binomial` and `factorial`, and neither calls a
+descent or Eulerian route.
 """
 
 from __future__ import annotations
@@ -37,17 +44,21 @@ def bspline_eval_explicit(d: int, x: Fraction | int) -> Fraction:
 
     Only the shifts i <= floor(x) are active, and x < d keeps them below d.
     Each of them has base x - i >= 0, so the truncation is a plain power,
-    and 0**0 == 1 makes the d = 1 base case right-continuous.
+    and 0**0 == 1 makes the d = 1 base case right-continuous.  At x = p/q
+    the sum is taken in ints, scaled by q^(d-1):
+    sum_{i <= p//q} (-1)^i C(d, i) (p - i*q)^(d-1), divided once by
+    q^(d-1) * (d-1)!.
     """
     check_range("spline order", d, 1)
     x = Fraction(x)
-    if x < 0 or x >= d:
+    p, q = x.numerator, x.denominator
+    if p < 0 or p >= d * q:
         return Fraction(0)
-    acc = Fraction(0)
-    for i in range(math.floor(x) + 1):
-        term = binomial(d, i) * (x - i) ** (d - 1)
+    acc = 0
+    for i in range(p // q + 1):
+        term = binomial(d, i) * (p - i * q) ** (d - 1)
         acc = acc - term if i & 1 else acc + term
-    return acc / factorial(d - 1)
+    return Fraction(acc, q ** (d - 1) * factorial(d - 1))
 
 
 def bspline_eval_recurrence(d: int, x: Fraction | int) -> Fraction:
@@ -55,18 +66,24 @@ def bspline_eval_recurrence(d: int, x: Fraction | int) -> Fraction:
 
     Builds the triangular table B_j(x - m) for j = 1..d, starting from the
     indicator values of B_1 and combining neighbours with the weights
-    y/(j-1) and (j-y)/(j-1).  Agrees bit-exactly with the explicit route.
+    y/(j-1) and (j-y)/(j-1), y = x - m.  At x = p/q the table holds the
+    ints v_j[m] = q^(j-1) (j-1)! B_j(x - m), so with r = p - m*q = q*y a
+    step is v_j[m] = r v_{j-1}[m] + (j*q - r) v_{j-1}[m+1] from the base
+    row v_1[m] = [0 <= r < q], which keeps d = 1 right-continuous; the
+    scale q^(d-1) (d-1)! is divided out once at the end.  Agrees
+    bit-exactly with the explicit route.
     """
     check_range("spline order", d, 1)
     x = Fraction(x)
-    vals = [Fraction(1) if 0 <= x - m < 1 else Fraction(0) for m in range(d)]
+    p, q = x.numerator, x.denominator
+    shifted = [p - m * q for m in range(d)]
+    vals = [1 if 0 <= r < q else 0 for r in shifted]
+    scale = 1
     for order in range(2, d + 1):
-        nxt = []
-        for m in range(d - order + 1):
-            y = x - m
-            nxt.append((y * vals[m] + (order - y) * vals[m + 1]) / (order - 1))
-        vals = nxt
-    return vals[0]
+        jq = order * q
+        vals = [r * a + (jq - r) * b for r, a, b in zip(shifted, vals, vals[1:])]
+        scale *= (order - 1) * q
+    return Fraction(vals[0], scale)
 
 
 # Evaluation routes by name, reference route first.  The lambdas look the

@@ -1,13 +1,15 @@
 """Exact B-spline evaluation, pieces, integration, and identity residuals."""
 
+import inspect
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splinecomb import splinecore
+from splinecomb import descent, eulerian, splinecore
 from splinecomb.polyring import Polynomial
 from splinecomb.splinecore import (
     bspline_eval_explicit,
@@ -246,3 +248,113 @@ def test_pieces_agree_with_both_routes(d):
             x = Fraction(j) + Fraction(rng.randint(0, q - 1), q)
             assert piece.poly(x) == bspline_eval_explicit(d, x)
             assert piece.poly(x) == bspline_eval_recurrence(d, x)
+
+
+# Fraction-accumulating forms of the two evaluators, one gcd per term: the
+# references of the integer kernels, which must agree with them exactly.
+def reference_explicit(d, x):
+    x = Fraction(x)
+    if x < 0 or x >= d:
+        return Fraction(0)
+    acc = Fraction(0)
+    for i in range(math.floor(x) + 1):
+        term = math.comb(d, i) * (x - i) ** (d - 1)
+        acc = acc - term if i & 1 else acc + term
+    return acc / math.factorial(d - 1)
+
+
+def reference_recurrence(d, x):
+    x = Fraction(x)
+    vals = [Fraction(1) if 0 <= x - m < 1 else Fraction(0) for m in range(d)]
+    for order in range(2, d + 1):
+        nxt = []
+        for m in range(d - order + 1):
+            y = x - m
+            nxt.append((y * vals[m] + (order - y) * vals[m + 1]) / (order - 1))
+        vals = nxt
+    return vals[0]
+
+
+@st.composite
+def orders_and_points(draw):
+    """(d, x) with d up to 60 and x on a knot or p/q with q up to 10^12,
+    over [-2, d + 2], so negative x and x >= d are drawn too."""
+    d = draw(st.integers(min_value=1, max_value=60))
+    if draw(st.booleans()):
+        return d, Fraction(draw(st.integers(min_value=-2, max_value=d + 2)))
+    q = draw(st.integers(min_value=1, max_value=10**12))
+    return d, Fraction(draw(st.integers(min_value=-2 * q, max_value=(d + 2) * q)), q)
+
+
+def on_knots(test):
+    """Always try d = 1 at both ends of its indicator and two other knots."""
+    for point in [(1, Fraction(0)), (1, Fraction(1)), (2, Fraction(1)), (5, Fraction(5))]:
+        test = example(point)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(orders_and_points())
+@on_knots
+def test_explicit_kernel_matches_the_fraction_sum(point):
+    d, x = point
+    value = bspline_eval_explicit(d, x)
+    assert type(value) is Fraction
+    assert value == reference_explicit(d, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orders_and_points())
+@on_knots
+def test_recurrence_kernel_matches_the_fraction_table(point):
+    d, x = point
+    value = bspline_eval_recurrence(d, x)
+    assert type(value) is Fraction
+    assert value == reference_recurrence(d, x)
+
+
+def _raising(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return fail
+
+
+INDEPENDENCE_POINTS = [
+    (1, Fraction(0)),
+    (1, Fraction(1)),
+    (4, Fraction(2)),
+    (7, Fraction(-1, 3)),
+    (9, Fraction(25, 7)),
+    (12, Fraction(123456789011, 10**10)),
+    (40, Fraction(41)),
+]
+
+
+@pytest.mark.parametrize(
+    "broken,working,reference",
+    [("explicit", "recurrence", reference_recurrence), ("recurrence", "explicit", reference_explicit)],
+    ids=["explicit-broken", "recurrence-broken"],
+)
+def test_each_evaluator_runs_without_the_other(rebind, broken, working, reference):
+    fn = getattr(splinecore, f"bspline_eval_{broken}")
+    rebind(fn, _raising(fn.__name__))
+    with pytest.raises(AssertionError, match="was called"):
+        splinecore.EVAL_ROUTES[broken](3, 1)
+    for d, x in INDEPENDENCE_POINTS:
+        assert splinecore.EVAL_ROUTES[working](d, x) == reference(d, x)
+
+
+def test_evaluators_reach_no_descent_or_eulerian_route(rebind):
+    broken = 0
+    for module in (descent, eulerian):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__:
+                rebind(fn, _raising(name))
+                broken += 1
+    assert broken >= 10
+    with pytest.raises(AssertionError, match="was called"):
+        descent.descent_spline(3, 2, 1)
+    for d, x in INDEPENDENCE_POINTS:
+        assert bspline_eval_explicit(d, x) == reference_explicit(d, x)
+        assert bspline_eval_recurrence(d, x) == reference_recurrence(d, x)

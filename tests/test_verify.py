@@ -1,8 +1,9 @@
 """Verification suite plumbing: reports, recorders, sweep composition."""
 
+import math
 from fractions import Fraction
 
-from splinecomb import descent, geometry
+from splinecomb import descent, geometry, splinecore
 from splinecomb.errors import TooLarge
 from splinecomb.verify import (
     VerifyConfig,
@@ -131,6 +132,47 @@ def test_geometry_suite_checks_the_minkowski_polynomial_off_its_nodes(monkeypatc
     failed = [case for case, _, _ in reports["geometry"].failures]
     assert failed and all(case.startswith("minkowski-at-") for case in failed)
     assert len(failed) == 2 * 6 + 7  # lam 6 and 8 at d = 5, lam 8 at d = 6
+
+
+def _failed_families(report):
+    return {case.split(" d=")[0] for case, _, _ in report.failures}
+
+
+def test_spline_fault_at_integers_fails_the_reaimed_reductions(rebind):
+    # B_D + 1/(D-1)! at integer x moves eulerian_spline(d, k + 1),
+    # descent_spline(d, 1, k) and the interpolation node at weight 0 by
+    # the same count, so a check between two of them cannot see it.
+    explicit = splinecore.bspline_eval_explicit
+
+    def shifted(d, x):
+        value = explicit(d, x)
+        return value + Fraction(1, math.factorial(d - 1)) if Fraction(x).denominator == 1 else value
+
+    rebind(explicit, shifted)
+    config = VerifyConfig(d_max=4, n_max=2)
+    assert "unit-index reduction" in _failed_families(verify_descent(config))
+    geometry_report = verify_geometry(config)
+    assert "minkowski-at--1" in _failed_families(geometry_report)
+    # The fault also makes mixed_volume_row raise at d = 1, k = 0; the
+    # suite records that as failed cases instead of stopping.
+    raised = "raised NegativeResult: mixed volume j=0 of a degree-1 Minkowski polynomial = -1"
+    assert ("mixed-volume d=1 k=0 j=0", "0", raised) in geometry_report.failures
+
+
+def test_mean_descent_fails_on_a_moved_count_that_conservation_keeps(monkeypatch):
+    build = descent.TABLE_ROUTES["spline"]
+
+    def moved(d, n, budget):
+        values = list(build(d, n, budget).values)
+        if d >= 2:
+            values[1] -= 1
+            values[2] += 1
+        return descent.DescentTable(d=d, n=n, values=tuple(values))
+
+    monkeypatch.setitem(descent.TABLE_ROUTES, "spline", moved)
+    failed = _failed_families(verify_descent(VerifyConfig(d_max=3, n_max=2)))
+    assert "mean-descent" in failed
+    assert "conservation" not in failed
 
 
 def test_geometry_case_labels_are_distinct(monkeypatch):
