@@ -38,6 +38,14 @@ def _at_least(lo: int) -> Callable[[str], int]:
     return integer
 
 
+def _seed_list(text: str) -> tuple[int, ...]:
+    """An argparse type for a comma-separated list of integer seeds."""
+    try:
+        return tuple(int(seed) for seed in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
+
+
 def _required(flag: str, type=int) -> tuple[str, dict]:
     return flag, {"type": type, "required": True}
 
@@ -52,6 +60,10 @@ _D = _required("--d", _POSITIVE)
 _N = _required("--n", _POSITIVE)
 _D_MAX = ("--d-max", {"type": _POSITIVE, "default": VerifyConfig.d_max})
 _N_MAX = ("--n-max", {"type": _POSITIVE, "default": VerifyConfig.n_max})
+_SAMPLES = (
+    "--samples",
+    {"type": _POSITIVE, "default": VerifyConfig.mc_samples, "help": "Monte Carlo samples per slice/seed"},
+)
 # Only the leaves that may enumerate take a budget.
 _BUDGET = (
     "--budget",
@@ -68,15 +80,16 @@ class _Leaf:
     """One leaf command: its arguments, what it computes, how it prints.
 
     render maps the result to (csv rows, json fields); the json payload is
-    the echoed arguments followed by those fields.  A leaf without render
-    emits verify reports, whose outcome sets the exit code.
+    the echoed arguments followed by those fields.  A leaf with a verdict
+    exits 1 when the verdict finds the result failed, after printing it.
     """
 
     help: str
     arguments: tuple[tuple[str, dict], ...]
     compute: Callable
-    render: Callable | None = None
+    render: Callable
     echo: tuple[str, ...] = ()
+    verdict: Callable | None = None
 
 
 def _scalar(value) -> tuple[list, dict]:
@@ -106,6 +119,76 @@ def _descent_table(table: descent.DescentTable) -> tuple[list, dict]:
     log_concave = all(m >= 0 for m in descent.log_concavity_verdict(table))
     checks = {"conservation": conservation, "log_concave": log_concave}
     return rows, {"values": [str(v) for v in table.values], "checks": checks}
+
+
+def _records(header: tuple, rows: list[tuple], key: str) -> tuple[list, dict]:
+    """csv: the header, then the rows; json: one record per row under key."""
+    return [header, *rows], {key: [dict(zip(header, row)) for row in rows]}
+
+
+def _margins(tables: list[descent.DescentTable]) -> tuple[list, dict]:
+    """Per table, its least interior log-concavity margin
+    v_k^2 - v_{k-1} v_{k+1} and the least margin over v_k^2, exactly."""
+    rows = []
+    for table in tables:
+        margins = descent.log_concavity_verdict(table)
+        normalized = [Fraction(m, table.values[k + 1] ** 2) for k, m in enumerate(margins)]
+        rows.append((table.d, table.n, format_rational(min(margins)), format_rational(min(normalized))))
+    return _records(("d", "n", "min_margin", "min_normalized_margin"), rows, "margins")
+
+
+def _sweep(pairs: list[tuple]) -> tuple[list, dict]:
+    rows = [
+        (
+            label,
+            seed,
+            format_rational(exact),
+            format_rational(est.estimate),
+            format_rational(est.standard_error),
+            "yes" if inside else "NO",
+        )
+        for label, seed, exact, est, _, inside in pairs
+    ]
+    header = ("slice", "seed", "exact", "estimate", "standard_error", "within_4_sigma")
+    return _records(header, rows, "pairs")
+
+
+def _sweep_passes(pairs: list[tuple]) -> bool:
+    """The sweep's verdict.  Its excursion count goes to stderr, so stdout
+    holds the table alone."""
+    excursions = sum(not inside for *_, inside in pairs)
+    print(f"# excursions: {excursions}", file=sys.stderr)
+    return verify.mc_sweep_passes(excursions)
+
+
+def _reports(reports: list[VerifyReport]) -> tuple[list, dict]:
+    rows = [("suite", "cases_run", "cases_failed")]
+    for rep in reports:
+        rows.append((rep.suite, rep.cases_run, rep.cases_failed))
+    for rep in reports:
+        for case, expected, actual in rep.failures:
+            rows.append(("failure", rep.suite, case, expected, actual))
+    payload = {
+        "reports": [
+            {
+                "suite": rep.suite,
+                "cases_run": rep.cases_run,
+                "cases_failed": rep.cases_failed,
+                "failures": [
+                    {"case": case, "expected": expected, "actual": actual}
+                    for case, expected, actual in rep.failures
+                ],
+            }
+            for rep in reports
+        ],
+        "total_cases": sum(rep.cases_run for rep in reports),
+        "total_failed": sum(rep.cases_failed for rep in reports),
+    }
+    return rows, payload
+
+
+def _all_ok(reports: list[VerifyReport]) -> bool:
+    return all(rep.ok for rep in reports)
 
 
 def _volume(est: geometry.VolumeEstimate) -> tuple[list, dict]:
@@ -170,6 +253,8 @@ def _leaves() -> dict[str, _Leaf]:
             "Eulerian identity suite",
             (_D_MAX, _BUDGET),
             lambda a: [verify.verify_eulerian(VerifyConfig(d_max=a.d_max, budget=a.budget))],
+            _reports,
+            verdict=_all_ok,
         ),
         "descent table": _Leaf(
             "descent histogram for (d, n)",
@@ -191,6 +276,20 @@ def _leaves() -> dict[str, _Leaf]:
             lambda a: [
                 verify.verify_descent(VerifyConfig(d_max=a.d_max, n_max=a.n_max, budget=a.budget))
             ],
+            _reports,
+            verdict=_all_ok,
+        ),
+        "descent margins": _Leaf(
+            "log-concavity margins of the descent tables",
+            # d = 1 has no interior margin, so the sweep starts at d = 2.
+            (("--d-max", {"type": _at_least(2), "default": 10}), ("--n-max", {"type": _POSITIVE, "default": 4})),
+            lambda a: [
+                descent.descent_table(d, n, "spline")
+                for d in range(2, a.d_max + 1)
+                for n in range(1, a.n_max + 1)
+            ],
+            _margins,
+            ("d_max", "n_max"),
         ),
         "geometry mc": _Leaf(
             "Monte Carlo slab volume",
@@ -215,25 +314,47 @@ def _leaves() -> dict[str, _Leaf]:
             _coefficients,
             ("d", "k"),
         ),
+        "geometry sweep": _Leaf(
+            "Monte Carlo estimates vs exact slab volumes",
+            (
+                _D_MAX,
+                ("--dilated-d-max", {"type": _POSITIVE, "default": VerifyConfig.mc_dilated_d_max}),
+                _N_MAX,
+                _SAMPLES,
+                (
+                    "--seeds",
+                    {"type": _seed_list, "default": VerifyConfig.mc_seeds, "help": "comma-separated seed list"},
+                ),
+            ),
+            lambda a: list(
+                verify.mc_pairs(
+                    VerifyConfig(
+                        d_max=a.d_max,
+                        n_max=a.n_max,
+                        mc_samples=a.samples,
+                        mc_seeds=a.seeds,
+                        mc_dilated_d_max=a.dilated_d_max,
+                    )
+                )
+            ),
+            _sweep,
+            ("d_max", "dilated_d_max", "n_max", "samples", "seeds"),
+            _sweep_passes,
+        ),
         "verify": _Leaf(
             "run verification suites",
             (
                 ("--all", {"action": "store_true", "required": True, "help": "run every suite"}),
                 _D_MAX,
                 _N_MAX,
-                (
-                    "--samples",
-                    {
-                        "type": _POSITIVE,
-                        "default": VerifyConfig.mc_samples,
-                        "help": "Monte Carlo samples per slice/seed",
-                    },
-                ),
+                _SAMPLES,
                 _BUDGET,
             ),
             lambda a: verify.verify_all(
                 VerifyConfig(d_max=a.d_max, n_max=a.n_max, budget=a.budget, mc_samples=a.samples)
             ),
+            _reports,
+            verdict=_all_ok,
         ),
     }
 
@@ -268,52 +389,16 @@ def _emit(args, rows: list[tuple], payload: dict) -> None:
             print(",".join(str(cell) for cell in row))
 
 
-def _report_rows(reports: list[VerifyReport]) -> list[tuple]:
-    rows = [("suite", "cases_run", "cases_failed")]
-    for rep in reports:
-        rows.append((rep.suite, rep.cases_run, rep.cases_failed))
-    for rep in reports:
-        for case, expected, actual in rep.failures:
-            rows.append(("failure", rep.suite, case, expected, actual))
-    return rows
-
-
-def _report_payload(reports: list[VerifyReport]) -> dict:
-    return {
-        "reports": [
-            {
-                "suite": rep.suite,
-                "cases_run": rep.cases_run,
-                "cases_failed": rep.cases_failed,
-                "failures": [
-                    {"case": case, "expected": expected, "actual": actual}
-                    for case, expected, actual in rep.failures
-                ],
-            }
-            for rep in reports
-        ],
-        "total_cases": sum(rep.cases_run for rep in reports),
-        "total_failed": sum(rep.cases_failed for rep in reports),
-    }
-
-
-def _emit_reports(args, reports: list[VerifyReport]) -> int:
-    _emit(args, _report_rows(reports), _report_payload(reports))
-    return 0 if all(rep.ok for rep in reports) else 1
-
-
 def _run(args) -> int:
     leaf = args.leaf
     result = leaf.compute(args)
-    if leaf.render is None:
-        return _emit_reports(args, result)
     rows, fields = leaf.render(result)
     payload = {}
     for name in leaf.echo:
         value = getattr(args, name)
         payload[name] = format_rational(value) if isinstance(value, Fraction) else value
     _emit(args, rows, {**payload, **fields})
-    return 0
+    return 0 if leaf.verdict is None or leaf.verdict(result) else 1
 
 
 def main(argv=None) -> int:

@@ -1,20 +1,23 @@
 """Command-line surface: grammars, formats, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinecomb import cli
+from splinecomb import cli, geometry, verify
 from splinecomb.cli import main
 from splinecomb.numcore import format_rational, parse_rational
-from splinecomb.verify import VerifyConfig
+from splinecomb.verify import VerifyConfig, VerifyReport
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +238,8 @@ def test_only_the_leaves_that_may_enumerate_take_a_budget(capsys):
         "descent poly": ["--d", "3", "--n", "2"],
         "geometry mc": ["--d", "2", "--scale", "1", "--lower", "0", "--upper", "1", "--samples", "5", "--seed", "1"],
         "geometry minkowski": ["--d", "3", "--k", "1"],
+        "descent margins": ["--d-max", "3", "--n-max", "2"],
+        "geometry sweep": ["--d-max", "1", "--n-max", "1", "--dilated-d-max", "1", "--samples", "50"],
     }
     assert set(valid) == set(leaves) - takes_budget
     for path, args in valid.items():
@@ -248,22 +253,110 @@ def test_only_the_leaves_that_may_enumerate_take_a_budget(capsys):
         assert captured.out == "" and "--budget" in captured.err, argv
 
 
-def test_failed_verification_exits_1(capsys):
-    from splinecomb.cli import _emit_reports
-    from splinecomb.verify import VerifyReport
-
-    class Args:
-        format = "json"
-
+def test_failed_verification_exits_1(capsys, monkeypatch):
     failing = VerifyReport(suite="demo", cases_run=2, failures=(("case", "1", "2"),))
     passing = VerifyReport(suite="other", cases_run=1, failures=())
-    code = _emit_reports(Args(), [passing, failing])
-    payload = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(verify, "verify_all", lambda config: [passing, failing])
+    code, out = run_cli(capsys, "verify", "--all", "--format", "json")
+    payload = json.loads(out)
     assert code == 1
     assert payload["total_failed"] == 1
     assert payload["reports"][1]["failures"] == [{"case": "case", "expected": "1", "actual": "2"}]
-    assert _emit_reports(Args(), [passing]) == 0
+    monkeypatch.setattr(verify, "verify_all", lambda config: [passing])
+    assert run_cli(capsys, "verify", "--all") == (0, "suite,cases_run,cases_failed\nother,1,0\n")
+
+
+_SMALL_SWEEP = ("geometry", "sweep", "--d-max", "2", "--n-max", "1", "--dilated-d-max", "1", "--samples", "200")
+
+
+def test_geometry_sweep(capsys):
+    code = main(list(_SMALL_SWEEP))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "# excursions: 0\n")
+    header, *rows = captured.out.splitlines()
+    assert header == "slice,seed,exact,estimate,standard_error,within_4_sigma"
+    # 3 unit slabs (d <= 2) and 2 dilated ones (d = 1, n = 2), each at 3 default seeds
+    assert len(rows) == 5 * 3
+    assert [row.split(",")[0] for row in rows[::3]] == [
+        "unit d=1 k=1",
+        "unit d=2 k=1",
+        "unit d=2 k=2",
+        "dilated d=1 n=2 k=0",
+        "dilated d=1 n=2 k=1",
+    ]
+
+
+def test_geometry_sweep_exits_1_on_two_excursions_and_prints_every_row(capsys, monkeypatch):
+    # Move the first two estimates of the first seed far outside their band.
+    volumes = geometry.mc_volumes
+
+    def shifted(specs, samples, seed):
+        estimates = list(volumes(specs, samples, seed))
+        if seed == VerifyConfig.mc_seeds[0]:
+            estimates[:2] = [dataclasses.replace(est, estimate=est.estimate + 1) for est in estimates[:2]]
+        return estimates
+
+    monkeypatch.setattr(geometry, "mc_volumes", shifted)
+    code = main(list(_SMALL_SWEEP))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "# excursions: 2\n")
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 5 * 3
+    assert [row.rsplit(",", 1)[1] for row in rows].count("NO") == 2
+
+
+def test_geometry_sweep_defaults_are_the_verify_config_defaults(capsys, monkeypatch):
+    configs = []
+    monkeypatch.setattr(verify, "mc_pairs", lambda config: configs.append(config) or [])
+    assert main(["geometry", "sweep"]) == 0
+    assert configs == [VerifyConfig()]
     capsys.readouterr()
+
+
+def test_descent_margins(capsys):
+    code, out = run_cli(capsys, "descent", "margins", "--d-max", "3", "--n-max", "2")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "d,n,min_margin,min_normalized_margin"
+    assert [tuple(row.split(",")[:2]) for row in rows] == [("2", "1"), ("2", "2"), ("3", "1"), ("3", "2")]
+
+
+# (leaf, argv, the refusal argparse prints for the value).
+SWEEP_USAGE_ERRORS = [
+    ("geometry sweep", ("--samples", "0"), "must be >= 1, got 0"),
+    ("geometry sweep", ("--d-max", "0"), "must be >= 1, got 0"),
+    ("geometry sweep", ("--n-max", "-1"), "must be >= 1, got -1"),
+    ("geometry sweep", ("--dilated-d-max", "0"), "must be >= 1, got 0"),
+    ("geometry sweep", ("--seeds", "1,x"), "must be comma-separated integers, got '1,x'"),
+    ("descent margins", ("--n-max", "0"), "must be >= 1, got 0"),
+    ("descent margins", ("--d-max", "1"), "must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, args, message",
+    SWEEP_USAGE_ERRORS,
+    ids=[f"{path.replace(' ', '-')}-args{i}" for i, (path, *_) in enumerate(SWEEP_USAGE_ERRORS)],
+)
+def test_empty_or_invalid_sweeps_are_usage_errors(capsys, path, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*path.split(), *args])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.endswith(f"error: argument {args[0]}: {message}\n")
+
+
+def test_readme_cli_block_names_every_leaf():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    paths = []
+    for line in block.splitlines():
+        program, *words = line.split()
+        assert program == "splinecomb", line
+        paths.append(" ".join(itertools.takewhile(str.isalpha, words)))
+    assert sorted(paths) == sorted(cli._leaves())
 
 
 def test_usage_error_exits_2():

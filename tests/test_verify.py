@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 
-from splinecomb import descent, geometry, splinecore
+from splinecomb import descent, eulerian, geometry, splinecore
 from splinecomb.errors import TooLarge
 from splinecomb.verify import (
     VerifyConfig,
@@ -173,6 +173,13 @@ def test_mean_descent_fails_on_a_moved_count_that_conservation_keeps(monkeypatch
     failed = _failed_families(verify_descent(VerifyConfig(d_max=3, n_max=2)))
     assert "mean-descent" in failed
     assert "conservation" not in failed
+
+
+def test_refined_row_sum_fails_on_one_wrong_refined_entry(rebind):
+    explicit = eulerian.refined_explicit
+    rebind(explicit, lambda d, k, j: explicit(d, k, j) + ((d, k, j) == (3, 1, 2)))
+    failed = _failed_families(verify_geometry(VerifyConfig(d_max=4, n_max=2)))
+    assert "refined-row-sum" in failed
 
 
 def test_geometry_case_labels_are_distinct(monkeypatch):
