@@ -13,9 +13,10 @@ oracle the others are gated on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, permutations, product
+from itertools import chain, permutations, product
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, NonIntegerResult, check_budget, check_range
 from .numcore import binomial, factorial
@@ -43,9 +44,10 @@ class RefinedTriangle:
     values: tuple[tuple[int, ...], ...]
 
 
-# Enumerations of at least this many objects are counted by numpy.  Below
-# it the scalar loop runs, so that small brute calls (5040 objects for
-# `eulerian row --d 7`, about 5 ms) do not pay numpy's import (about 0.1 s).
+# While numpy is not loaded, enumerations of fewer objects than this run
+# the scalar loop, so that small brute calls from a cold process (5040
+# objects for `eulerian row --d 7`, about 5 ms) do not pay numpy's import
+# (about 0.1 s).  Once numpy is loaded, every enumeration is counted by it.
 _VECTOR_FLOOR = 2**16
 # At most this many (permutation, index vector) pairs per numpy chunk;
 # larger chunks were no faster and raised the peak memory.
@@ -87,14 +89,20 @@ def _descent_grid(d: int, n: int, budget: int, what: str) -> list[list[int]]:
 
     grid[m-1][k] counts the indexed permutations ending with letter m that
     have k descents, 0 <= k <= d.  The only brute-force enumeration: every
-    brute route is a marginal or a re-indexing of this grid.  Below
-    _VECTOR_FLOOR objects a loop calls `_descents` once per object; at or
-    above it `_descent_grid_vector` counts the same objects with numpy.
+    brute route is a marginal or a re-indexing of this grid.  Once numpy is
+    loaded, or at _VECTOR_FLOOR objects or more, `_descent_grid_vector`
+    counts the objects; below the floor in a process without numpy,
+    `_descent_grid_scalar` calls `_descents` once per object.
     """
     objects = n**d * math.factorial(d)
     check_budget(objects, budget, what)
-    if objects >= _VECTOR_FLOOR:
+    if objects >= _VECTOR_FLOOR or "numpy" in sys.modules:
         return _descent_grid_vector(d, n)
+    return _descent_grid_scalar(d, n)
+
+
+def _descent_grid_scalar(d: int, n: int) -> list[list[int]]:
+    """`_descent_grid`'s counts by a loop over every object, the reference."""
     grid = [[0] * (d + 1) for _ in range(d)]
     index_vectors = list(product(range(n), repeat=d))
     for perm in permutations(range(1, d + 1)):
@@ -105,15 +113,38 @@ def _descent_grid(d: int, n: int, budget: int, what: str) -> list[list[int]]:
     return grid
 
 
+def _permutation_blocks(d: int):
+    """Yield every permutation of S_d once, as int8 letter arrays.
+
+    Position first: column p of a block is one permutation.  Each block
+    fixes one ordered prefix of d - s letters, s = min(d, 7), and fills the
+    last s positions with the remaining letters in sorted order, indexed
+    by one table of S_s built per call (7! = 5040 columns, 35 KB).
+    """
+    import numpy as np
+
+    s = min(d, 7)
+    table = np.fromiter(chain.from_iterable(permutations(range(s))), np.int8, s * math.factorial(s))
+    table = table.reshape(-1, s).T
+    letters = range(1, d + 1)
+    for prefix in permutations(letters, d - s):
+        remaining = np.array([m for m in letters if m not in prefix], np.int8)
+        block = np.empty((d, table.shape[1]), np.int8)
+        block[: d - s] = np.array(prefix, np.int8)[:, None]
+        block[d - s :] = remaining[table]
+        yield block
+
+
 def _descent_grid_vector(d: int, n: int) -> list[list[int]]:
     """`_descent_grid`'s counts, by numpy.
 
     Every object is still enumerated and its descents counted by
-    `_descents_array`.  Index vectors are decoded from their ranks one
-    block at a time, and for each block the permutations are read afresh,
-    so that a chunk holds at most _CHUNK_PAIRS (permutation, index vector)
-    pairs.  Each pair adds one to the count keyed
-    (last letter - 1) * (d + 1) + descents.
+    `_descents_array`.  The permutations come in blocks from
+    `_permutation_blocks`; for each block, index vectors are decoded from
+    their ranks in base n, and the block's columns are sliced, so that a
+    chunk holds at most _CHUNK_PAIRS (permutation, index vector) pairs.
+    Each pair adds one to the count keyed (last letter - 1) * (d + 1) +
+    descents.
     """
     import numpy as np
 
@@ -122,17 +153,17 @@ def _descent_grid_vector(d: int, n: int) -> list[list[int]]:
     step = _CHUNK_PAIRS // block
     places = n ** np.arange(d - 1, -1, -1)[:, None]
     counts = np.zeros(d * (d + 1), dtype=np.int64)
-    for start in range(0, vectors_total, block):
-        # Position first: vectors[i, 0, e] is position i of index vector e,
-        # digit i of e in base n, most significant first; letters[i, p, 0]
-        # is position i of permutation p.
-        vectors = np.arange(start, min(start + block, vectors_total)) // places % n
-        vectors = vectors.astype(np.min_scalar_type(n - 1))[:, None, :]
-        perms = permutations(range(1, d + 1))
-        for _ in range(0, math.factorial(d), step):
-            letters = np.fromiter(chain.from_iterable(islice(perms, step)), np.int8).reshape(-1, d).T[:, :, None]
-            keys = (letters[-1].astype(np.int64) - 1) * (d + 1) + _descents_array(letters, vectors)
-            counts += np.bincount(keys.ravel(), minlength=d * (d + 1))
+    for perms in _permutation_blocks(d):
+        for start in range(0, vectors_total, block):
+            # Position first: vectors[i, 0, e] is position i of index vector
+            # e, digit i of e in base n, most significant first;
+            # letters[i, p, 0] is position i of permutation p.
+            vectors = np.arange(start, min(start + block, vectors_total)) // places % n
+            vectors = vectors.astype(np.min_scalar_type(n - 1))[:, None, :]
+            for first in range(0, perms.shape[1], step):
+                letters = perms[:, first : first + step, None]
+                keys = (letters[-1].astype(np.int64) - 1) * (d + 1) + _descents_array(letters, vectors)
+                counts += np.bincount(keys.ravel(), minlength=d * (d + 1))
     return counts.reshape(d, d + 1).tolist()
 
 

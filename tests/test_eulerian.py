@@ -81,12 +81,44 @@ BELOW_FLOOR = [
 
 @pytest.mark.parametrize("d, n", BELOW_FLOOR)
 def test_vector_grid_equals_scalar_grid(d, n):
-    # Below the floor _descent_grid is the scalar loop over _descents.
-    scalar = eulerian._descent_grid(d, n, n**d * math.factorial(d), "indexed permutations")
-    assert eulerian._descent_grid_vector(d, n) == scalar
+    assert eulerian._descent_grid_vector(d, n) == eulerian._descent_grid_scalar(d, n)
 
 
-@pytest.mark.parametrize("d, n", [(9, 1), (7, 2), (6, 3), (6, 4), (1, 3 * 10**6), (2, 1200)])
+def test_a_process_with_numpy_counts_below_the_floor_by_numpy(rebind):
+    # numpy is loaded with this module; a cold process without it keeps the
+    # scalar loop (tests/test_cli.py checks that side).
+    def refuse(d, n):
+        raise AssertionError("scalar loop reached with numpy loaded")
+
+    expected = eulerian._descent_grid_scalar(4, 2)
+    rebind(eulerian._descent_grid_scalar, refuse)
+    assert 4 * 2**4 * math.factorial(4) < eulerian._VECTOR_FLOOR
+    assert eulerian._descent_grid(4, 2, 10**6, "indexed permutations") == expected
+    assert eulerian_bruteforce(5).values == CLASSIC_ROWS[5]
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_permutation_blocks_yield_each_permutation_once(d):
+    letters = np.concatenate(list(eulerian._permutation_blocks(d)), axis=1)
+    assert letters.dtype == np.int8
+    assert letters.shape == (d, math.factorial(d))
+    # Every column holds the letters 1..d ...
+    assert (np.sort(letters, axis=0) == np.arange(1, d + 1)[:, None]).all()
+    # ... and the Lehmer ranks, a bijection from S_d onto 0..d!-1, are distinct.
+    later_smaller = [(letters[i + 1 :] < letters[i]).sum(axis=0) for i in range(d)]
+    ranks = sum(code * math.factorial(d - 1 - i) for i, code in enumerate(later_smaller))
+    assert (np.sort(ranks) == np.arange(math.factorial(d))).all()
+
+
+def test_vector_grid_at_ten_matches_the_formula_routes():
+    # S_10 is over the default budget, so no verify sweep reaches it.
+    grid = eulerian._descent_grid_vector(10, 1)
+    assert eulerian._descent_marginal(grid) == [eulerian_spline(10, k) for k in range(1, 12)]
+    refined = refined_triangle(9, "explicit")
+    assert [[grid[9 - j][k] for j in range(10)] for k in range(10)] == [list(row) for row in refined.values]
+
+
+@pytest.mark.parametrize("d, n", [(9, 1), (10, 1), (7, 2), (6, 3), (6, 4), (1, 3 * 10**6), (2, 1200)])
 def test_vector_grid_memory_is_bounded(d, n):
     # numpy is imported with this module, so the trace sees only the
     # enumeration's own arrays.

@@ -150,13 +150,47 @@ def test_spline_fault_at_integers_fails_the_reaimed_reductions(rebind):
 
     rebind(explicit, shifted)
     config = VerifyConfig(d_max=4, n_max=2)
-    assert "unit-index reduction" in _failed_families(verify_descent(config))
+    # The descent suite sees it across routes; its unit-index reduction
+    # reads no spline, so the fault leaves that check alone.
+    descent_failed = _failed_families(verify_descent(config))
+    assert "route explicit" in descent_failed
+    assert "unit-index reduction" not in descent_failed
     geometry_report = verify_geometry(config)
     assert "minkowski-at--1" in _failed_families(geometry_report)
     # The fault also makes mixed_volume_row raise at d = 1, k = 0; the
     # suite records that as failed cases instead of stopping.
     raised = "raised NegativeResult: mixed volume j=0 of a degree-1 Minkowski polynomial = -1"
     assert ("mixed-volume d=1 k=0 j=0", "0", raised) in geometry_report.failures
+
+
+def test_unit_index_reduction_is_apart_from_the_recurrence_route(rebind):
+    # A wrong n = 1 recurrence table fails the route check only.
+    table = descent.descent_recurrence_table
+
+    def bumped(d, n):
+        built = table(d, n)
+        return descent.DescentTable(d=d, n=n, values=(built.values[0] + (n == 1),) + built.values[1:])
+
+    rebind(table, bumped)
+    config = VerifyConfig(d_max=4, n_max=2)
+    failed = {case for case, _, _ in verify_descent(config).failures}
+    assert {f"route recurrence d={d} n=1" for d in range(1, 5)} <= failed
+    assert not any(case.startswith("unit-index reduction") for case in failed)
+
+
+def test_unit_index_reduction_fails_on_a_wrong_last_column_entry(rebind):
+    explicit = eulerian.refined_explicit
+    rebind(explicit, lambda d, k, j: explicit(d, k, j) + ((d, k, j) == (3, 1, 0)))
+    failures = verify_descent(VerifyConfig(d_max=4, n_max=2)).failures
+    assert ("unit-index reduction d=3 k=1", "4", "5") in failures
+
+
+def test_a_table_failure_row_names_the_first_differing_entry(rebind):
+    explicit = eulerian.refined_explicit
+    rebind(explicit, lambda d, k, j: explicit(d, k, j) + ((d, k, j) == (2, 1, 0)))
+    failures = verify_eulerian(VerifyConfig(d_max=2)).failures
+    assert ("refined lambda d=2", "values[1][0]: 2", "values[1][0]: 1") in failures
+    assert ("refined brute d=2", "values[1][0]: 2", "values[1][0]: 1") in failures
 
 
 def test_mean_descent_fails_on_a_moved_count_that_conservation_keeps(monkeypatch):
