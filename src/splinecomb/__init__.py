@@ -43,7 +43,6 @@ from .geometry import (
     mc_volume,
     mc_volumes,
     minkowski_poly,
-    mixed_volume_row,
 )
 from .numcore import (
     binomial,

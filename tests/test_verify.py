@@ -104,8 +104,8 @@ def test_eulerian_suite_honours_the_budget():
 
 
 def test_geometry_suite_rebuilds_each_minkowski_polynomial_every_run(monkeypatch):
-    # Once per (d, k), shared by the coefficient checks and mixed_volume_row,
-    # on every run: nothing is cached across calls.
+    # Once per (d, k), shared by the coefficient and mirror checks and the
+    # off-node evaluations, on every run: nothing is cached across calls.
     calls = []
     build = geometry.minkowski_poly
     monkeypatch.setattr(geometry, "minkowski_poly", lambda d, k: calls.append((d, k)) or build(d, k))
@@ -157,10 +157,9 @@ def test_spline_fault_at_integers_fails_the_reaimed_reductions(rebind):
     assert "unit-index reduction" not in descent_failed
     geometry_report = verify_geometry(config)
     assert "minkowski-at--1" in _failed_families(geometry_report)
-    # The fault also makes mixed_volume_row raise at d = 1, k = 0; the
-    # suite records that as failed cases instead of stopping.
-    raised = "raised NegativeResult: mixed volume j=0 of a degree-1 Minkowski polynomial = -1"
-    assert ("mixed-volume d=1 k=0 j=0", "0", raised) in geometry_report.failures
+    # Only the weight-0 node reads the spline at an integer, so the fault
+    # lifts poly(0), the constant coefficient, off the refined row.
+    assert ("minkowski-coefficient d=1 k=0 j=0", "1", "2") in geometry_report.failures
 
 
 def test_unit_index_reduction_is_apart_from_the_recurrence_route(rebind):
@@ -214,6 +213,27 @@ def test_refined_row_sum_fails_on_one_wrong_refined_entry(rebind):
     rebind(explicit, lambda d, k, j: explicit(d, k, j) + ((d, k, j) == (3, 1, 2)))
     failed = _failed_families(verify_geometry(VerifyConfig(d_max=4, n_max=2)))
     assert "refined-row-sum" in failed
+
+
+def test_minkowski_mirror_reads_the_mirrored_slab(rebind):
+    # One wrong refined entry, AR(4, 1, 4) stored at values[1][0], fails
+    # the coefficient check of slab 1 and the mirror check of slab 2,
+    # whose coefficient 3 reads that entry.  Slab 2's coefficient check
+    # and slab 1's mirror check read values[2][3] and pass.
+    explicit = eulerian.refined_explicit
+    rebind(explicit, lambda d, k, j: explicit(d, k, j) + ((d, k, j) == (3, 1, 0)))
+    failed = {case for case, _, _ in verify_geometry(VerifyConfig(d_max=4, n_max=2)).failures}
+    assert {"minkowski-coefficient d=3 k=1 j=0", "minkowski-mirror d=3 k=2 j=3"} <= failed
+    assert not {"minkowski-coefficient d=3 k=2 j=3", "minkowski-mirror d=3 k=1 j=0"} & failed
+
+
+def test_cases_run_per_suite_is_pinned():
+    # A re-aimed check keeps its family's case count; the bspline count
+    # depends on the default sample_seed.
+    assert [r.cases_run for r in verify_all(VerifyConfig())] == [1240, 93, 279, 413, 189]
+    deep = VerifyConfig(d_max=9, n_max=3)
+    exact = [verify_bspline, verify_eulerian, verify_descent, verify_geometry]
+    assert [suite(deep).cases_run for suite in exact] == [2030, 179, 508, 1038]
 
 
 def test_geometry_case_labels_are_distinct(monkeypatch):
