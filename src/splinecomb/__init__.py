@@ -13,7 +13,6 @@ from .descent import (
     descent_recurrence_table,
     descent_spline,
     descent_table,
-    descent_two_scale_residual,
     descent_via_refined,
     indexed_bruteforce,
     log_concavity_verdict,
@@ -31,7 +30,6 @@ from .eulerian import (
     eulerian_bruteforce,
     eulerian_row_spline,
     eulerian_spline,
-    eulerian_two_scale_residual,
     refined_bruteforce,
     refined_explicit,
     refined_lambda_extraction,

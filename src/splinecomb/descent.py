@@ -130,12 +130,3 @@ def log_concavity_verdict(table: DescentTable) -> list[int]:
     """
     return _log_concavity_margins(table.values)
 
-
-def descent_two_scale_residual(d: int, n: int, k: int) -> int:
-    """DT(d, 2n, k) minus its binomial refinement over index bound n.
-
-    Out-of-range table entries enter as 0.  Identically 0.
-    """
-    _check_args(d, n)
-    refined = sum(binomial(d + 1, j) * descent_spline(d, n, 2 * k - j) for j in range(d + 2))
-    return descent_spline(d, 2 * n, k) - refined

@@ -186,6 +186,8 @@ def eulerian_spline(d: int, k: int) -> int:
 
 
 def eulerian_row_spline(d: int) -> EulerianRow:
+    """The row A(d, 1..d) by `eulerian_spline`, one spline value per entry."""
+    check_range("dimension", d, 1)
     return EulerianRow(d=d, values=tuple(eulerian_spline(d, k) for k in range(1, d + 1)))
 
 
@@ -260,16 +262,6 @@ def refined_triangle(
     if route not in REFINED_ROUTES:
         raise ValueError(f"unknown route {route!r}")
     return REFINED_ROUTES[route](d, budget)
-
-
-def eulerian_two_scale_residual(d: int, k: int) -> Fraction:
-    """A(d, k) minus its binomial refinement over doubled descent index.
-
-    Out-of-range Eulerian numbers enter as 0.  Identically 0.
-    """
-    check_range("dimension", d, 1)
-    refined = sum(binomial(d + 1, j) * eulerian_spline(d, 2 * k - j) for j in range(d + 2))
-    return Fraction(eulerian_spline(d, k)) - Fraction(refined, 2**d)
 
 
 def _check_refined_args(d: int, k: int, j: int) -> None:

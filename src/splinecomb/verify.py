@@ -6,6 +6,16 @@ whose acceptance band (geometry.mc_band: 4 outward-rounded standard
 errors of the exact slab probability, at most one excursion per sweep) is
 part of its contract.  All suites are deterministic, including the
 pseudo-random sample points.
+
+Routes that expand one formula share its faults.  By formula:
+  sum_i (-1)^i C(d+1, i) (.)^d, over binomial and factorial: bspline
+    explicit; row and descent spline (via bspline_eval_explicit); refined
+    explicit and lambda (in Polynomial); descent explicit and refined (a
+    binomial sum of refined_explicit)
+  order-lowering recurrence, ints only: bspline recurrence
+  dimension recurrence, ints only: descent recurrence, also read at 2n by
+    two-scale d n k against the spline table at n
+  _descent_grid enumeration by _descents: every brute route
 """
 
 from __future__ import annotations
@@ -110,6 +120,13 @@ def _sample_points(d: int, count: int, rng: random.Random) -> list[Fraction]:
     return points
 
 
+def _two_scale_sum(d: int, values, m: int) -> int:
+    """sum_j C(d+1, j) * values[m - j], an index outside values counting
+    as 0: the integer right side of the two-scale identity
+    2^d B_{d+1}(x) = sum_j C(d+1, j) B_{d+1}(2x - j), scaled to a table."""
+    return sum(binomial(d + 1, j) * values[m - j] for j in range(d + 2) if 0 <= m - j < len(values))
+
+
 def _cross_routes(rec: _Recorder, kind: str, where: str, routes: dict, *args):
     """Check every route of `routes` against the first, the reference, on
     `args`, and return the reference result.  A route that refuses `args`
@@ -129,6 +146,7 @@ def verify_bspline(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     rec = _Recorder("bspline")
     rng = random.Random(config.sample_seed)
     for d in range(1, config.d_max + 1):
+        pieces = [splinecore.bspline_piece(d, j).poly for j in range(d)]
         for x in _sample_points(d, config.sample_points, rng):
             explicit = _cross_routes(rec, "route", f"d={d} x={x}", splinecore.EVAL_ROUTES, d, x)
             if d >= 2:
@@ -136,8 +154,7 @@ def verify_bspline(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
             rec.check(f"two-scale d={d} x={x}", Fraction(0), splinecore.two_scale_residual(d, x))
             rec.check(f"partition d={d} x={x}", Fraction(0), splinecore.partition_residual(d, x))
             if 0 <= x < d:
-                piece = splinecore.bspline_piece(d, int(x))
-                rec.check(f"piece d={d} x={x}", explicit, piece.poly(x))
+                rec.check(f"piece d={d} x={x}", explicit, pieces[int(x)](x))
         for k in range(1, d + 1):
             rec.check(
                 f"integral-bridge d={d} k={k}",
@@ -160,8 +177,8 @@ def verify_eulerian(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
             rec.check(f"symmetry d={d} k={k}", spline_row.values[k - 1], spline_row.values[d - k])
             rec.check(
                 f"two-scale d={d} k={k}",
-                Fraction(0),
-                eulerian.eulerian_two_scale_residual(d, k),
+                2**d * spline_row.values[k - 1],
+                _two_scale_sum(d, spline_row.values, 2 * k - 1),
             )
         explicit = _cross_routes(rec, "refined", f"d={d}", eulerian.REFINED_ROUTES, d, config.budget)
         for k in range(d + 1):
@@ -187,11 +204,12 @@ def verify_descent(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
             )
             for margin in descent.log_concavity_verdict(spline):
                 rec.check_nonneg(f"log-concavity d={d} n={n}", margin)
+            doubled = descent.descent_recurrence_table(d, 2 * n)
             for k in range(d + 1):
                 rec.check(
                     f"two-scale d={d} n={n} k={k}",
-                    0,
-                    descent.descent_two_scale_residual(d, n, k),
+                    doubled.values[k],
+                    _two_scale_sum(d, spline.values, 2 * k),
                 )
         # n = 1 reduces indexed descents to ordinary ones, and the
         # permutations of S_{d+1} ending with d+1 have the descents of S_d.

@@ -14,7 +14,6 @@ from splinecomb.descent import (
     descent_recurrence_table,
     descent_spline,
     descent_table,
-    descent_two_scale_residual,
     descent_via_refined,
     indexed_bruteforce,
     log_concavity_verdict,
@@ -23,6 +22,7 @@ from splinecomb.errors import TooLarge
 from splinecomb.eulerian import _descents, eulerian_spline
 from splinecomb.numcore import factorial
 from splinecomb.polyring import Polynomial
+from splinecomb.verify import _two_scale_sum
 
 
 def test_indexed_permutation_descents_by_hand():
@@ -154,15 +154,22 @@ def test_log_concavity_and_unimodality(d, n):
 
 
 def test_two_scale_examples():
-    assert descent_two_scale_residual(1, 1, 1) == 0
-    assert descent_two_scale_residual(2, 1, 1) == 0
+    # DT(d, 2n, k) = sum_j C(d+1, j) DT(d, n, 2k - j), worked by hand at
+    # d = 2 from DT(2, 1, .) = (1, 1, 0) to DT(2, 2, .) = (1, 6, 1): at k = 1,
+    # 3 * 1 + 3 * 1 = 6.  Entries past either end count as 0.
+    assert [_two_scale_sum(2, (1, 1, 0), 2 * k) for k in range(-1, 4)] == [0, 1, 6, 1, 0]
+    assert descent_table(2, 2).values == (1, 6, 1)
 
 
 @pytest.mark.parametrize("d", range(1, 11))
 @pytest.mark.parametrize("n", range(1, 4))
 def test_two_scale_residual_vanishes(d, n):
-    for k in range(-1, d + 2):
-        assert descent_two_scale_residual(d, n, k) == 0
+    # The two-scale identity holds on the tables of every formula route.
+    for route in ("spline", "explicit", "recurrence", "refined"):
+        half = descent_table(d, n, route).values
+        doubled = descent_table(d, 2 * n, route).values
+        for k in range(-1, d + 2):
+            assert (doubled[k] if 0 <= k <= d else 0) == _two_scale_sum(d, half, 2 * k)
 
 
 def test_polynomial_matches_values():

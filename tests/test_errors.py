@@ -41,9 +41,9 @@ GUARDED = {
     ),
     "log_concavity_witness grid": (lambda: splinecore.log_concavity_witness(3, 0), "grid denominator", 0),
     "eulerian_spline": (lambda: eulerian.eulerian_spline(0, 1), "dimension", 0),
+    "eulerian_row_spline": (lambda: eulerian.eulerian_row_spline(-2), "dimension", -2),
     "eulerian_bruteforce": (lambda: eulerian.eulerian_bruteforce(0), "dimension", 0),
     "refined_bruteforce": (lambda: eulerian.refined_bruteforce(-2), "dimension", -2),
-    "eulerian_two_scale_residual": (lambda: eulerian.eulerian_two_scale_residual(0, 1), "dimension", 0),
     "refined_explicit d": (lambda: eulerian.refined_explicit(0, 0, 0), "dimension", 0),
     "refined_explicit k": (lambda: eulerian.refined_explicit(3, 4, 0), "descent count k", 4),
     "refined_explicit j": (lambda: eulerian.refined_explicit(3, 0, -1), "refinement index j", -1),
@@ -54,7 +54,6 @@ GUARDED = {
     "descent_via_refined": (lambda: descent.descent_via_refined(2, 2, -1), "descent count k", -1),
     "descent_recurrence_table": (lambda: descent.descent_recurrence_table(2, 0), "index bound", 0),
     "indexed_bruteforce": (lambda: descent.indexed_bruteforce(0, 2), "dimension", 0),
-    "descent_two_scale_residual": (lambda: descent.descent_two_scale_residual(1, -1, 0), "index bound", -1),
     "SliceSpec d": (lambda: _unit_slab(d=0), "dimension", 0),
     "SliceSpec scale": (lambda: _unit_slab(scale=0), "cube dilation factor", 0),
     "dilated_slice d": (lambda: geometry.SliceSpec.dilated_slice(0, 1, 0), "dimension", 0),

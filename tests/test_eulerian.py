@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -17,13 +16,13 @@ from splinecomb.eulerian import (
     eulerian_bruteforce,
     eulerian_row_spline,
     eulerian_spline,
-    eulerian_two_scale_residual,
     refined_bruteforce,
     refined_explicit,
     refined_lambda_extraction,
     refined_triangle,
 )
 from splinecomb.numcore import factorial
+from splinecomb.verify import _two_scale_sum
 
 # Frozen from exhaustive descent counting over S_d.
 CLASSIC_ROWS = {
@@ -243,14 +242,22 @@ def test_refined_last_column_is_previous_eulerian_row(d):
 
 
 def test_two_scale_examples():
-    assert eulerian_two_scale_residual(2, 1) == 0
-    assert eulerian_two_scale_residual(1, 1) == 0
+    # 2^d A(d, k) = sum_j C(d+1, j) A(d, 2k - j), worked by hand at d = 3,
+    # where A(3, .) = (1, 4, 1) sits at index k - 1: at k = 2,
+    # 8 * 4 = 4 * 1 + 6 * 4 + 4 * 1.  Entries past either end count as 0.
+    assert [_two_scale_sum(3, (1, 4, 1), 2 * k - 1) for k in range(-1, 6)] == [0, 0, 8, 32, 8, 0, 0]
 
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_two_scale_residual_vanishes(d):
-    for k in range(-1, d + 2):
-        assert eulerian_two_scale_residual(d, k) == Fraction(0)
+    # The two-scale identity holds on the spline row and on column 0 of each
+    # formula route's refined triangle, which is A(d, 1..d) again.
+    rows = [eulerian_row_spline(d).values]
+    for route in ("explicit", "lambda"):
+        rows.append(tuple(row[0] for row in refined_triangle(d, route).values[:d]))
+    for values in rows:
+        for k in range(-1, d + 2):
+            assert 2**d * (values[k - 1] if 1 <= k <= d else 0) == _two_scale_sum(d, values, 2 * k - 1)
 
 
 def test_refined_bound():

@@ -28,12 +28,10 @@ PUBLIC_NAMES = [
     "descent_recurrence_table",
     "descent_spline",
     "descent_table",
-    "descent_two_scale_residual",
     "descent_via_refined",
     "eulerian_bruteforce",
     "eulerian_row_spline",
     "eulerian_spline",
-    "eulerian_two_scale_residual",
     "factorial",
     "format_rational",
     "indexed_bruteforce",

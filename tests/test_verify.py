@@ -227,6 +227,26 @@ def test_minkowski_mirror_reads_the_mirrored_slab(rebind):
     assert not {"minkowski-coefficient d=3 k=2 j=3", "minkowski-mirror d=3 k=1 j=0"} & failed
 
 
+def test_descent_two_scale_reads_the_recurrence_past_n_max(rebind):
+    # A recurrence fault only at n >= 4 keeps each table's sum; every other
+    # descent family reads n <= n_max = 3, and two-scale reads n = 4 and 6.
+    table = descent.descent_recurrence_table
+
+    def faulted(d, n):
+        built = table(d, n)
+        if d < 3 or n < 4:
+            return built
+        values = list(built.values)
+        values[1] += 1
+        values[2] -= 1
+        return descent.DescentTable(d=d, n=n, values=tuple(values))
+
+    rebind(table, faulted)
+    report = verify_descent(VerifyConfig())
+    assert ("two-scale d=3 n=2 k=1", "122", "121") in report.failures
+    assert _failed_families(report) == {"two-scale"}
+
+
 def test_cases_run_per_suite_is_pinned():
     # A re-aimed check keeps its family's case count; the bspline count
     # depends on the default sample_seed.
