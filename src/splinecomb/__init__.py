@@ -56,8 +56,6 @@ from .splinecore import (
     bspline_integrate,
     bspline_piece,
     log_concavity_witness,
-    partition_residual,
-    two_scale_residual,
 )
 from .verify import VerifyConfig, VerifyReport, verify_all
 

@@ -121,9 +121,10 @@ def _splitmix64_block(seed: int, start: int, count: int):
 def _hit_range(spec: SliceSpec) -> tuple[int, int]:
     """Integer range [lo, hi] of the hit test on U, the sum of the d raw
     53-bit coordinates of one sample: lower <= scale * U / 2^53 <= upper
-    holds exactly when lo <= U <= hi, as U is an integer and scale > 0."""
-    lo = ceil(spec.lower * (1 << _COORD_BITS) / spec.scale)
-    hi = floor(spec.upper * (1 << _COORD_BITS) / spec.scale)
+    holds exactly when lo <= U <= hi, as U is an integer and scale > 0.
+    The bounds are read as Fractions, so int bounds divide exactly too."""
+    lo = ceil(Fraction(spec.lower) * (1 << _COORD_BITS) / spec.scale)
+    hi = floor(Fraction(spec.upper) * (1 << _COORD_BITS) / spec.scale)
     return lo, hi
 
 

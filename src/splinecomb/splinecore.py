@@ -7,9 +7,10 @@ is continuous, so knot values are unambiguous.
 
 Two independent evaluation routes are provided (the explicit alternating
 truncated-power sum and the order-lowering recurrence) plus piece
-extraction, exact integration, and residuals for the refinement and
-partition-of-unity identities.  Everything returns Fractions; out-of-
-support arguments give 0 rather than an error.
+extraction, exact integration and a log-concavity witness.  Everything
+returns Fractions; out-of-support arguments give 0 rather than an error.
+The refinement and partition-of-unity identities are checked in
+`verify.verify_bspline`.
 
 Both evaluators work in plain ints at x = p/q in lowest terms (q > 0):
 each scales its formula by a common denominator, q^(d-1) * (d-1)!, sums
@@ -125,36 +126,6 @@ def bspline_integrate(d: int, a: Fraction | int, b: Fraction | int) -> Fraction:
         anti = bspline_piece(d, j).poly.antiderivative()
         total += anti(right) - anti(left)
     return total
-
-
-def two_scale_residual(d: int, x: Fraction | int) -> Fraction:
-    """B_d(x) minus its binomial-weighted refinement at doubled argument.
-
-    Identically 0; with the right-continuous base indicator this holds at
-    every rational, dyadic discontinuity points of d = 1 included.
-    """
-    check_range("spline order", d, 1)
-    x = Fraction(x)
-    halved = Fraction(1, 2 ** (d - 1))
-    refined = sum(
-        (binomial(d, j) * bspline_eval_explicit(d, 2 * x - j) for j in range(d + 1)),
-        start=Fraction(0),
-    )
-    return bspline_eval_explicit(d, x) - halved * refined
-
-
-def partition_residual(d: int, x: Fraction | int) -> Fraction:
-    """Sum of all integer translates of B_d at x, minus 1.
-
-    Only the finitely many translates whose support contains x contribute.
-    Identically 0 (partition of unity).
-    """
-    check_range("spline order", d, 1)
-    x = Fraction(x)
-    total = Fraction(0)
-    for k in range(math.ceil(x - d), math.floor(x) + 1):
-        total += bspline_eval_explicit(d, x - k)
-    return total - 1
 
 
 def _log_concavity_margins(v):

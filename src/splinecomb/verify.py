@@ -20,6 +20,7 @@ Routes that expand one formula share its faults.  By formula:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,10 +121,11 @@ def _sample_points(d: int, count: int, rng: random.Random) -> list[Fraction]:
     return points
 
 
-def _two_scale_sum(d: int, values, m: int) -> int:
+def _two_scale_sum(d: int, values, m: int):
     """sum_j C(d+1, j) * values[m - j], an index outside values counting
-    as 0: the integer right side of the two-scale identity
-    2^d B_{d+1}(x) = sum_j C(d+1, j) B_{d+1}(2x - j), scaled to a table."""
+    as 0: the right side of the two-scale identity
+    2^d B_{d+1}(x) = sum_j C(d+1, j) B_{d+1}(2x - j), read off spline
+    values at 2x - j or off a table that scales them to integers."""
     return sum(binomial(d + 1, j) * values[m - j] for j in range(d + 2) if 0 <= m - j < len(values))
 
 
@@ -151,8 +153,15 @@ def verify_bspline(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
             explicit = _cross_routes(rec, "route", f"d={d} x={x}", splinecore.EVAL_ROUTES, d, x)
             if d >= 2:
                 rec.check(f"symmetry d={d} x={x}", explicit, splinecore.bspline_eval_explicit(d, d - x))
-            rec.check(f"two-scale d={d} x={x}", Fraction(0), splinecore.two_scale_residual(d, x))
-            rec.check(f"partition d={d} x={x}", Fraction(0), splinecore.partition_residual(d, x))
+            halves = [splinecore.bspline_eval_explicit(d, 2 * x - d + i) for i in range(d + 1)]
+            rec.check(f"two-scale d={d} x={x}", 2 ** (d - 1) * explicit, _two_scale_sum(d - 1, halves, d))
+            # every translate B_d(x - k) whose support [k, k + d] holds x
+            translates = range(math.ceil(x - d), math.floor(x) + 1)
+            rec.check(
+                f"partition d={d} x={x}",
+                Fraction(1),
+                sum(splinecore.bspline_eval_explicit(d, x - k) for k in translates),
+            )
             if 0 <= x < d:
                 rec.check(f"piece d={d} x={x}", explicit, pieces[int(x)](x))
         for k in range(1, d + 1):

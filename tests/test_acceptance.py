@@ -107,7 +107,8 @@ def test_criterion_06_two_scale_equations():
         for _ in range(200):
             q = rng.randint(1, 64)
             x = Fraction(rng.randint(-q, (d + 1) * q), q)
-            ok = ok and splinecore.two_scale_residual(d, x) == 0
+            halves = [splinecore.bspline_eval_explicit(d, 2 * x - d + i) for i in range(d + 1)]
+            ok = ok and 2 ** (d - 1) * splinecore.bspline_eval_explicit(d, x) == _two_scale_sum(d - 1, halves, d)
     _criterion(6, "two-scale identities hold for A (d <= 12), DT (d <= 10, n <= 3), B (d <= 12)",
                ok, started)
 

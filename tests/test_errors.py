@@ -32,8 +32,6 @@ GUARDED = {
     "bspline_piece": (lambda: splinecore.bspline_piece(0, 0), "spline order", 0),
     "bspline_piece j": (lambda: splinecore.bspline_piece(3, 3), "piece index", 3),
     "bspline_integrate": (lambda: splinecore.bspline_integrate(0, 0, 1), "spline order", 0),
-    "two_scale_residual": (lambda: splinecore.two_scale_residual(0, 1), "spline order", 0),
-    "partition_residual": (lambda: splinecore.partition_residual(0, 1), "spline order", 0),
     "log_concavity_witness order": (
         lambda: splinecore.log_concavity_witness(1, 8),
         "log-concavity sampling order",

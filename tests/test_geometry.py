@@ -258,6 +258,18 @@ def test_counter_reads_the_stream_in_bounded_chunks(monkeypatch, d):
     assert sum(count for _, count in blocks) == d * samples
 
 
+@pytest.mark.parametrize("d,scale,lower,upper", [(600, 7, 1000, 2000), (40, 3, 7, 100)])
+def test_int_bounds_give_the_hit_range_of_their_fraction_twin(d, scale, lower, upper):
+    # Equal specs hash alike, so they must count alike: an int bound is
+    # divided exactly, as its Fraction twin is, and not in floating point.
+    as_int = SliceSpec(d=d, scale=scale, lower=lower, upper=upper)
+    as_fraction = SliceSpec(d=d, scale=scale, lower=Fraction(lower), upper=Fraction(upper))
+    assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+    exact = (-(-lower * 2**53 // scale), upper * 2**53 // scale)
+    assert _hit_range(as_int) == _hit_range(as_fraction) == exact
+    assert mc_volume(as_int, 50, 11).hits == mc_volume(as_fraction, 50, 11).hits
+
+
 def test_huge_denominator_bound_keeps_the_hits_of_its_rounded_slab():
     tiny = Fraction(1, 3 * 10**18)
     spec = SliceSpec(d=2, scale=1, lower=tiny, upper=Fraction(1))

@@ -42,12 +42,10 @@ PUBLIC_NAMES = [
     "mc_volumes",
     "minkowski_poly",
     "parse_rational",
-    "partition_residual",
     "refined_bruteforce",
     "refined_explicit",
     "refined_lambda_extraction",
     "refined_triangle",
-    "two_scale_residual",
     "verify_all",
 ]
 

@@ -1,4 +1,4 @@
-"""Exact B-spline evaluation, pieces, integration, and identity residuals."""
+"""Exact B-spline evaluation, pieces, integration, and the two-scale and partition identities."""
 
 import inspect
 import math
@@ -17,9 +17,8 @@ from splinecomb.splinecore import (
     bspline_integrate,
     bspline_piece,
     log_concavity_witness,
-    partition_residual,
-    two_scale_residual,
 )
+from splinecomb.verify import _two_scale_sum
 
 # Hand-derived pieces (repeated convolution of the unit indicator):
 # order 2 is the hat, order 3 the quadratic bump, order 4 the cubic bump.
@@ -41,6 +40,18 @@ HAND_PIECES = {
 
 def rational_grid(d, denominator=7):
     return [Fraction(m, denominator) for m in range(-denominator, (d + 1) * denominator + 1)]
+
+
+def two_scale_holds(d, x):
+    """2^(d-1) B_d(x) == sum_j C(d, j) B_d(2x - j), the sum read by the
+    verify suites' one two-scale rule."""
+    halves = [bspline_eval_explicit(d, 2 * x - d + i) for i in range(d + 1)]
+    return 2 ** (d - 1) * bspline_eval_explicit(d, x) == _two_scale_sum(d - 1, halves, d)
+
+
+def translate_sum(d, x):
+    """Sum of the translates B_d(x - k) whose support [k, k + d] holds x."""
+    return sum(bspline_eval_explicit(d, x - k) for k in range(math.ceil(x - d), math.floor(x) + 1))
 
 
 def test_eval_examples():
@@ -141,28 +152,28 @@ def test_integral_recursion(d):
 
 
 def test_two_scale_examples():
-    assert two_scale_residual(3, Fraction(3, 2)) == 0
-    assert two_scale_residual(4, Fraction(17, 5)) == 0
-    assert two_scale_residual(2, -1) == 0
+    assert two_scale_holds(3, Fraction(3, 2))
+    assert two_scale_holds(4, Fraction(17, 5))
+    assert two_scale_holds(2, -1)
 
 
 def test_two_scale_order_one_holds_at_dyadic_points():
     # the right-continuous indicator splits exactly into its two halves
     for x in [0, Fraction(1, 2), 1, Fraction(1, 4), Fraction(3, 4), 2]:
-        assert two_scale_residual(1, x) == 0
+        assert two_scale_holds(1, x)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_residuals_vanish_on_grid(d):
     for x in rational_grid(d):
-        assert two_scale_residual(d, x) == 0
-        assert partition_residual(d, x) == 0
+        assert two_scale_holds(d, x)
+        assert translate_sum(d, x) == 1
 
 
 def test_partition_examples():
-    assert partition_residual(3, Fraction(7, 3)) == 0
-    assert partition_residual(1, Fraction(5, 8)) == 0
-    assert partition_residual(5, -2) == 0
+    assert translate_sum(3, Fraction(7, 3)) == 1
+    assert translate_sum(1, Fraction(5, 8)) == 1
+    assert translate_sum(5, -2) == 1
 
 
 def test_log_concavity_hand_case():
@@ -219,8 +230,8 @@ def test_routes_agree_everywhere(d, x):
     st.fractions(min_value=-1, max_value=9, max_denominator=48),
 )
 def test_two_scale_and_partition_hold_everywhere(d, x):
-    assert two_scale_residual(d, x) == 0
-    assert partition_residual(d, x) == 0
+    assert two_scale_holds(d, x)
+    assert translate_sum(d, x) == 1
 
 
 @settings(max_examples=40)

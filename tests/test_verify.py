@@ -247,6 +247,30 @@ def test_descent_two_scale_reads_the_recurrence_past_n_max(rebind):
     assert _failed_families(report) == {"two-scale"}
 
 
+def test_spline_two_scale_fails_entry_against_entry(rebind):
+    # B_3 + 1/7 at the half-integers in (0, 3) moves the refinement sum of
+    # x = 3/4, which reads B_3 at 1/2 and 3/2, but not 2^2 B_3(3/4).
+    explicit = splinecore.bspline_eval_explicit
+
+    def faulted(d, x):
+        value = explicit(d, x)
+        x = Fraction(x)
+        return value + Fraction(1, 7) if d == 3 and x.denominator == 2 and 0 < x < 3 else value
+
+    rebind(explicit, faulted)
+    assert ("two-scale d=3 x=3/4", "9/8", "95/56") in verify_bspline(VerifyConfig()).failures
+
+
+def test_bspline_suite_reuses_the_reference_value_of_each_sample_point(rebind):
+    # two-scale compares against the explicit value the route check
+    # already computed, so no sample point evaluates B_d(x) twice for it.
+    explicit = splinecore.bspline_eval_explicit
+    calls = []
+    rebind(explicit, lambda d, x: calls.append((d, x)) or explicit(d, x))
+    verify_bspline(VerifyConfig(d_max=3, sample_points=8))
+    assert len(calls) == 213
+
+
 def test_cases_run_per_suite_is_pinned():
     # A re-aimed check keeps its family's case count; the bspline count
     # depends on the default sample_seed.
