@@ -13,7 +13,6 @@ from .descent import (
     descent_recurrence_table,
     descent_spline,
     descent_table,
-    descent_via_refined,
     indexed_bruteforce,
     log_concavity_verdict,
 )

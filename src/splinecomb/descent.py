@@ -9,19 +9,23 @@ exactly k descents.
 
 Routes: spline evaluation (d! * n^d * B_{d+1}(k + 1/n)), the explicit
 alternating sum, the dimension recurrence, combination of refined Eulerian
-numbers, and brute-force enumeration.  The descent rule above is
-`eulerian._descents`, the one rule of every brute-force route, and it is
-not taken on faith: the enumeration is gated by exact agreement with the
-other four routes across the verification sweeps.
+numbers, and brute-force enumeration.  The spline route evaluates one
+spline value per entry.  The explicit route builds its d+1 shifted powers
+once per table, and the refined route reads one explicit refined triangle
+per table; each sums the same terms as its scalar formula.  The descent
+rule above is `eulerian._descents`, the one rule of every brute-force
+route, and it is not taken on faith: the enumeration is gated by exact
+agreement with the other four routes across the verification sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, check_range
-from .eulerian import _as_int, _descent_grid, _descent_marginal, refined_explicit
+from .eulerian import _as_int, _descent_grid, _descent_marginal, _refined_explicit_triangle
 from .numcore import binomial, factorial
 from .polyring import Polynomial
 from .splinecore import _log_concavity_margins, bspline_eval_explicit
@@ -67,6 +71,29 @@ def descent_explicit(d: int, n: int, k: int) -> int:
     return total
 
 
+def _descent_explicit_table(d: int, n: int) -> DescentTable:
+    """The explicit route's whole table: `descent_explicit`'s alternating sum
+    at every k, term for term, from the d+1 powers (n*m + 1)^d built once."""
+    _check_args(d, n)
+    powers = [(n * m + 1) ** d for m in range(d + 1)]
+    signed = [-binomial(d + 1, i) if i & 1 else binomial(d + 1, i) for i in range(d + 1)]
+    values = tuple(sum(map(mul, signed, reversed(powers[: k + 1]))) for k in range(d + 1))
+    for k, total in enumerate(values):
+        if total < 0:
+            raise NegativeResult(f"descent explicit table d={d} n={n}: values[{k}] = {total}")
+    return DescentTable(d=d, n=n, values=values)
+
+
+def _descent_refined_table(d: int, n: int) -> DescentTable:
+    """DT(d, n, k) = sum_j C(d, j) (n-1)^j AR(d+1, k, d+1-j) for every k: row
+    k of the explicit refined triangle, built once, against weights built
+    once (0**0 == 1, so n = 1 keeps only the first term)."""
+    _check_args(d, n)
+    triangle = _refined_explicit_triangle(d)
+    weights = [binomial(d, j) * (n - 1) ** j for j in range(d + 1)]
+    return DescentTable(d=d, n=n, values=tuple(sum(map(mul, weights, row)) for row in triangle.values))
+
+
 def descent_recurrence_table(d: int, n: int) -> DescentTable:
     """Build the table by the dimension recurrence from the length-1 base row."""
     _check_args(d, n)
@@ -79,14 +106,6 @@ def descent_recurrence_table(d: int, n: int) -> DescentTable:
             left = prev[k - 1] if k >= 1 else 0
             row.append((n * k + 1) * above + (n * (j - k) + (n - 1)) * left)
     return DescentTable(d=d, n=n, values=tuple(row))
-
-
-def descent_via_refined(d: int, n: int, k: int) -> int:
-    """DT(d, n, k) as a binomial combination of refined Eulerian numbers
-    weighted by powers of n-1 (0**0 == 1, so n = 1 keeps only the first term)."""
-    _check_args(d, n)
-    check_range("descent count k", k, 0, d)
-    return sum(binomial(d, j) * refined_explicit(d, k, j) * (n - 1) ** j for j in range(d + 1))
 
 
 def indexed_bruteforce(d: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> DescentTable:
@@ -105,9 +124,9 @@ def _grid(d: int, n: int, entry) -> DescentTable:
 # module attribute reaches them.
 TABLE_ROUTES = {
     "spline": lambda d, n, budget: _grid(d, n, descent_spline),
-    "explicit": lambda d, n, budget: _grid(d, n, descent_explicit),
+    "explicit": lambda d, n, budget: _descent_explicit_table(d, n),
     "recurrence": lambda d, n, budget: descent_recurrence_table(d, n),
-    "refined": lambda d, n, budget: _grid(d, n, descent_via_refined),
+    "refined": lambda d, n, budget: _descent_refined_table(d, n),
     "brute": lambda d, n, budget: indexed_bruteforce(d, n, budget=budget),
 }
 ROUTES = tuple(TABLE_ROUTES)

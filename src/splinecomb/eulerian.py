@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations, product
+from operator import mul
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, NonIntegerResult, check_budget, check_range
 from .numcore import binomial, factorial
@@ -210,6 +211,34 @@ def refined_explicit(d: int, k: int, j: int) -> int:
     return total
 
 
+def _refined_explicit_triangle(d: int) -> RefinedTriangle:
+    """The explicit route's whole triangle: `refined_explicit`'s alternating
+    sum at every (k, j), term for term, from quantities built once.
+
+    powers[m][j] = m^j (m+1)^(d-j), with 0**0 == 1, for m = 0..d, built
+    along j by multiplying by m and dividing exactly by m+1; signed[i] =
+    (-1)^i C(d+1, i).  Then values[k][j] = sum_{i <= k} signed[i] *
+    powers[k-i][j].
+    """
+    check_range("dimension", d, 1)
+    powers = []
+    for m in range(d + 1):
+        row = [(m + 1) ** d]
+        for _ in range(d):
+            row.append(row[-1] * m // (m + 1))
+        powers.append(row)
+    columns = list(zip(*powers))
+    signed = [-binomial(d + 1, i) if i & 1 else binomial(d + 1, i) for i in range(d + 1)]
+    values = []
+    for k in range(d + 1):
+        row = tuple(sum(map(mul, signed, reversed(column[: k + 1]))) for column in columns)
+        for j, total in enumerate(row):
+            if total < 0:
+                raise NegativeResult(f"refined triangle d={d}: values[{k}][{j}] = {total}")
+        values.append(row)
+    return RefinedTriangle(d=d, values=tuple(values))
+
+
 def refined_lambda_extraction(d: int, k: int, j: int) -> int:
     """AR(d+1, k, d-j+1) via coefficient extraction.
 
@@ -249,7 +278,7 @@ ROW_ROUTES = {
 }
 
 REFINED_ROUTES = {
-    "explicit": lambda d, budget: _refined_grid(d, refined_explicit),
+    "explicit": lambda d, budget: _refined_explicit_triangle(d),
     "lambda": lambda d, budget: _refined_grid(d, refined_lambda_extraction),
     "brute": lambda d, budget: refined_bruteforce(d, budget),
 }

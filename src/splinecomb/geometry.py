@@ -61,6 +61,9 @@ class SliceSpec:
     def __post_init__(self):
         check_range("dimension", self.d, 1)
         check_range("cube dilation factor", self.scale, 1)
+        for bound in (self.lower, self.upper):
+            if not isinstance(bound, (int, Fraction)):
+                raise ValueError(f"slab bound {bound!r} is not an int or a Fraction")
         if not 0 <= self.lower <= self.upper <= self.scale * self.d:
             raise ValueError(
                 f"slab [{self.lower}, {self.upper}] not inside [0, {self.scale * self.d}]"

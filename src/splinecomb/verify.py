@@ -11,7 +11,7 @@ Routes that expand one formula share its faults.  By formula:
   sum_i (-1)^i C(d+1, i) (.)^d, over binomial and factorial: bspline
     explicit; row and descent spline (via bspline_eval_explicit); refined
     explicit and lambda (in Polynomial); descent explicit and refined (a
-    binomial sum of refined_explicit)
+    binomial sum of the explicit refined triangle's rows)
   order-lowering recurrence, ints only: bspline recurrence
   dimension recurrence, ints only: descent recurrence, also read at 2n by
     two-scale d n k against the spline table at n

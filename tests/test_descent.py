@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinecomb import descent
+from splinecomb import descent, eulerian, numcore, splinecore
 from splinecomb.descent import (
     ROUTES,
     DescentTable,
@@ -14,13 +14,12 @@ from splinecomb.descent import (
     descent_recurrence_table,
     descent_spline,
     descent_table,
-    descent_via_refined,
     indexed_bruteforce,
     log_concavity_verdict,
 )
 from splinecomb.errors import TooLarge
-from splinecomb.eulerian import _descents, eulerian_spline
-from splinecomb.numcore import factorial
+from splinecomb.eulerian import _descents, eulerian_spline, refined_explicit
+from splinecomb.numcore import binomial, factorial
 from splinecomb.polyring import Polynomial
 from splinecomb.verify import _two_scale_sum
 
@@ -88,8 +87,52 @@ def test_recurrence_route_does_not_depend_on_factorial(monkeypatch):
 
 
 def test_via_refined_example():
-    assert descent_via_refined(2, 2, 1) == 6
-    assert descent_via_refined(2, 1, 1) == 1
+    assert descent_table(2, 2, "refined").values[1] == 6
+    assert descent_table(2, 1, "refined").values[1] == 1
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_formula_table_entries_are_the_scalar_sums(d):
+    refined = [[refined_explicit(d, k, j) for j in range(d + 1)] for k in range(d + 1)]
+    for n in range(1, 7):
+        assert list(descent_table(d, n, "explicit").values) == [descent_explicit(d, n, k) for k in range(d + 1)]
+        assert list(descent_table(d, n, "refined").values) == [
+            sum(binomial(d, j) * refined[k][j] * (n - 1) ** j for j in range(d + 1)) for k in range(d + 1)
+        ]
+
+
+def test_refined_route_reads_no_other_descent_route(rebind):
+    expected = {(d, n): descent_table(d, n, "refined") for d in range(1, 7) for n in range(1, 4)}
+    explicit, explicit_table, spline = (
+        descent.descent_explicit,
+        descent._descent_explicit_table,
+        splinecore.bspline_eval_explicit,
+    )
+    rebind(explicit, lambda d, n, k: explicit(d, n, k) + 1)
+    rebind(
+        explicit_table,
+        lambda d, n: DescentTable(d=d, n=n, values=tuple(v + 1 for v in explicit_table(d, n).values)),
+    )
+    rebind(spline, lambda d, x: spline(d, x) + 1)
+    assert descent_table(3, 2, "explicit").values != expected[3, 2].values
+    assert descent_table(3, 2, "spline").values != expected[3, 2].values
+    for (d, n), table in expected.items():
+        assert descent_table(d, n, "refined") == table
+
+
+def test_refined_route_builds_one_triangle_with_linear_binomials(rebind):
+    # The refined table reads one explicit refined triangle; its binomials
+    # are the triangle's signed C(d+1, i) and the weights' C(d, j), O(d) in
+    # all, where an entry-by-entry sum calls C(d+1, i) O(d^3) times.
+    d, n = 12, 3
+    expected = descent_recurrence_table(d, n).values
+    triangles, binomials = [], []
+    build = eulerian._refined_explicit_triangle
+    rebind(build, lambda m: triangles.append(m) or build(m))
+    rebind(numcore.binomial, lambda a, b: binomials.append((a, b)) or binomial(a, b))
+    assert descent_table(d, n, "refined").values == expected
+    assert triangles == [d]
+    assert len(binomials) <= 2 * (d + 1)
 
 
 @pytest.mark.parametrize("d", range(1, 7))

@@ -45,11 +45,12 @@ GUARDED = {
     "refined_explicit d": (lambda: eulerian.refined_explicit(0, 0, 0), "dimension", 0),
     "refined_explicit k": (lambda: eulerian.refined_explicit(3, 4, 0), "descent count k", 4),
     "refined_explicit j": (lambda: eulerian.refined_explicit(3, 0, -1), "refinement index j", -1),
+    "refined_triangle explicit": (lambda: eulerian.refined_triangle(0, "explicit"), "dimension", 0),
     "refined_lambda_extraction": (lambda: eulerian.refined_lambda_extraction(2, -1, 0), "descent count k", -1),
     "descent_spline d": (lambda: descent.descent_spline(0, 2, 0), "dimension", 0),
     "descent_spline n": (lambda: descent.descent_spline(2, 0, 0), "index bound", 0),
     "descent_explicit": (lambda: descent.descent_explicit(2, 2, 5), "descent count k", 5),
-    "descent_via_refined": (lambda: descent.descent_via_refined(2, 2, -1), "descent count k", -1),
+    "descent_table refined": (lambda: descent.descent_table(2, 0, "refined"), "index bound", 0),
     "descent_recurrence_table": (lambda: descent.descent_recurrence_table(2, 0), "index bound", 0),
     "indexed_bruteforce": (lambda: descent.indexed_bruteforce(0, 2), "dimension", 0),
     "SliceSpec d": (lambda: _unit_slab(d=0), "dimension", 0),

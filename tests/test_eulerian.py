@@ -210,6 +210,14 @@ def test_refined_route_equivalence(d):
     assert explicit.values == refined_bruteforce(d).values
 
 
+@pytest.mark.parametrize("d", range(1, 21))
+def test_explicit_triangle_entry_is_the_scalar_sum(d):
+    triangle = refined_triangle(d, "explicit")
+    assert [list(row) for row in triangle.values] == [
+        [refined_explicit(d, k, j) for j in range(d + 1)] for k in range(d + 1)
+    ]
+
+
 def test_lambda_route_extracts_every_entry(monkeypatch):
     # The lambda route stays one extraction per entry, on every call.
     calls = []

@@ -270,6 +270,13 @@ def test_int_bounds_give_the_hit_range_of_their_fraction_twin(d, scale, lower, u
     assert mc_volume(as_int, 50, 11).hits == mc_volume(as_fraction, 50, 11).hits
 
 
+@pytest.mark.parametrize("lower, upper", [(0.1, 1), (0, 1.0)])
+def test_a_bound_that_is_not_exact_is_refused(lower, upper):
+    # A float bound would set the hit range from its binary value.
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        SliceSpec(d=2, scale=1, lower=lower, upper=upper)
+
+
 def test_huge_denominator_bound_keeps_the_hits_of_its_rounded_slab():
     tiny = Fraction(1, 3 * 10**18)
     spec = SliceSpec(d=2, scale=1, lower=tiny, upper=Fraction(1))

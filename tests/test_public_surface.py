@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "descent_recurrence_table",
     "descent_spline",
     "descent_table",
-    "descent_via_refined",
     "eulerian_bruteforce",
     "eulerian_row_spline",
     "eulerian_spline",

@@ -184,9 +184,21 @@ def test_unit_index_reduction_fails_on_a_wrong_last_column_entry(rebind):
     assert ("unit-index reduction d=3 k=1", "4", "5") in failures
 
 
+def _bump_refined_entry(rebind, at):
+    """Rebind the explicit refined triangle builder so that its entry at
+    (d, k, j) = `at` reads one more."""
+    build = eulerian._refined_explicit_triangle
+
+    def bumped(d):
+        values = build(d).values
+        values = tuple(tuple(v + ((d, k, j) == at) for j, v in enumerate(row)) for k, row in enumerate(values))
+        return eulerian.RefinedTriangle(d=d, values=values)
+
+    rebind(build, bumped)
+
+
 def test_a_table_failure_row_names_the_first_differing_entry(rebind):
-    explicit = eulerian.refined_explicit
-    rebind(explicit, lambda d, k, j: explicit(d, k, j) + ((d, k, j) == (2, 1, 0)))
+    _bump_refined_entry(rebind, (2, 1, 0))
     failures = verify_eulerian(VerifyConfig(d_max=2)).failures
     assert ("refined lambda d=2", "values[1][0]: 2", "values[1][0]: 1") in failures
     assert ("refined brute d=2", "values[1][0]: 2", "values[1][0]: 1") in failures
@@ -209,8 +221,7 @@ def test_mean_descent_fails_on_a_moved_count_that_conservation_keeps(monkeypatch
 
 
 def test_refined_row_sum_fails_on_one_wrong_refined_entry(rebind):
-    explicit = eulerian.refined_explicit
-    rebind(explicit, lambda d, k, j: explicit(d, k, j) + ((d, k, j) == (3, 1, 2)))
+    _bump_refined_entry(rebind, (3, 1, 2))
     failed = _failed_families(verify_geometry(VerifyConfig(d_max=4, n_max=2)))
     assert "refined-row-sum" in failed
 
@@ -220,8 +231,7 @@ def test_minkowski_mirror_reads_the_mirrored_slab(rebind):
     # the coefficient check of slab 1 and the mirror check of slab 2,
     # whose coefficient 3 reads that entry.  Slab 2's coefficient check
     # and slab 1's mirror check read values[2][3] and pass.
-    explicit = eulerian.refined_explicit
-    rebind(explicit, lambda d, k, j: explicit(d, k, j) + ((d, k, j) == (3, 1, 0)))
+    _bump_refined_entry(rebind, (3, 1, 0))
     failed = {case for case, _, _ in verify_geometry(VerifyConfig(d_max=4, n_max=2)).failures}
     assert {"minkowski-coefficient d=3 k=1 j=0", "minkowski-mirror d=3 k=2 j=3"} <= failed
     assert not {"minkowski-coefficient d=3 k=2 j=3", "minkowski-mirror d=3 k=1 j=0"} & failed
