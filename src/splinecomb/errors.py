@@ -2,8 +2,10 @@
 
 `check_range` is the one integer range rule: every entry point that takes a
 dimension, order, piece index, index bound, descent count or other integer
-argument refuses a value outside its range with ValueError("<what> must be
->= lo, got <value>") or ("<what> must be in lo..hi, got <value>").
+argument refuses a value that is not an int with ValueError("<what> must be
+an int, got <value>"), so no float reaches an exact result, and a value
+outside its range with ValueError("<what> must be >= lo, got <value>") or
+("<what> must be in lo..hi, got <value>").
 `check_budget` refuses an enumeration larger than its budget with TooLarge.
 """
 
@@ -46,7 +48,10 @@ def check_budget(objects: int, budget: int, what: str) -> None:
 
 
 def check_range(what: str, value: int, lo: int, hi: int | None = None) -> None:
-    """Refuse `value` for the argument `what` unless lo <= value (<= hi when given)."""
+    """Refuse `value` for the argument `what` unless it is an int (not a
+    bool) and lo <= value (<= hi when given)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
     if value < lo or (hi is not None and value > hi):
         bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise ValueError(f"{what} must be {bound}, got {value}")

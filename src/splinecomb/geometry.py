@@ -14,14 +14,15 @@ constant 0x9E3779B97F4A7C15 before each output, the output being the mix
 the same stream as numpy blocks.  A coordinate is (output >> 11) / 2^53
 scaled by the dilation, so a sample hits the slab exactly when the integer
 sum U of its d raw coordinates lies in the integer range
-[ceil(lower 2^53 / scale), floor(upper 2^53 / scale)].  The samples depend
-on (d, samples, seed) alone, so `mc_volumes`, the batched entry, draws one
-stream per d and tests each sample's U against the hit range of every slab
-of that d; `mc_volume` is its one-slab case.  One counter serves every d:
-it reads the stream in chunks of 2^16 coordinates and sums U in numpy int64
-for d <= 512, in Python integers above, where int64 could overflow, so
-estimates are reproducible bit-for-bit.  numpy is imported by that counter,
-not with this module.
+[ceil(lower 2^53 / scale), floor(upper 2^53 / scale)].  Sample s of
+dimension d is outputs s*d+1 .. s*d+d of the seed's stream, so every d reads
+a prefix of one stream: `mc_volumes`, the batched entry, draws it once per
+seed for the largest d and tests each sample's U against the hit range of
+every slab of its d; `mc_volume` is its one-slab case.  One counter serves
+every d: it reads the stream in chunks of whole samples of the largest d,
+about 2^16 coordinates, and sums U in numpy int64 for d <= 512, in Python
+integers above, where int64 could overflow, so estimates are reproducible
+bit-for-bit.  numpy is imported by that counter, not with this module.
 """
 
 from __future__ import annotations
@@ -131,26 +132,51 @@ def _hit_range(spec: SliceSpec) -> tuple[int, int]:
     return lo, hi
 
 
-def _count_hits(d: int, ranges: list[tuple[int, int]], samples: int, seed: int) -> list[int]:
-    """Hits of each [lo, hi] in `ranges` among the first `samples` samples
-    of dimension d, read from the stream in chunks of whole samples, at
-    most max(_CHUNK_COORDS, d) coordinates each.  U is summed in numpy
-    int64 while d <= _VECTOR_D_MAX and in Python integers (object dtype)
-    above, where int64 could overflow."""
+def _count_hits(ranges_by_d: dict[int, list[tuple[int, int]]], samples: int, seed: int) -> dict[int, list[int]]:
+    """Hits of each [lo, hi] in `ranges_by_d[d]` among the first `samples`
+    samples of dimension d, for every d at once.
+
+    The stream is drawn once: outputs 1 .. D * samples for the largest d,
+    D, in chunks of whole samples of D, at most max(_CHUNK_COORDS, D)
+    coordinates each.  Each d reads its prefix of d * samples coordinates,
+    sums the whole samples in each chunk and carries a partial sample into
+    the next chunk.  U is summed in numpy int64 while d <= _VECTOR_D_MAX
+    and in Python integers (object dtype) above, where int64 could
+    overflow.
+    """
+    if not ranges_by_d:
+        return {}
     import numpy as np
 
-    dtype = np.int64 if d <= _VECTOR_D_MAX else object
-    lo, hi = np.array(ranges, dtype=dtype).T
-    hits = np.zeros(len(ranges), dtype=np.int64)
-    step = max(1, _CHUNK_COORDS // d)
-    for done in range(0, samples, step):
-        n = min(step, samples - done)
-        u = (_splitmix64_block(seed, done * d, n * d) >> np.uint64(11)).view(np.int64)
-        total = np.sort(u.reshape(n, d).sum(axis=1, dtype=dtype))
-        # #(U <= hi) - #(U < lo) counts lo <= U <= hi, as lower <= upper
-        # keeps hi >= lo - 1.
-        hits += np.searchsorted(total, hi, side="right") - np.searchsorted(total, lo, side="left")
-    return [int(h) for h in hits]
+    top = max(ranges_by_d)
+    bounds = {d: np.array(r, dtype=np.int64 if d <= _VECTOR_D_MAX else object).T for d, r in ranges_by_d.items()}
+    hits = {d: np.zeros(len(r), dtype=np.int64) for d, r in ranges_by_d.items()}
+    carry = {d: np.empty(0, dtype=np.int64) for d in ranges_by_d}
+    step = max(1, _CHUNK_COORDS // top) * top
+    for start in range(0, top * samples, step):
+        chunk = (_splitmix64_block(seed, start, min(step, top * samples - start)) >> np.uint64(11)).view(np.int64)
+        for d, (lo, hi) in bounds.items():
+            if d * samples <= start:
+                continue  # d's prefix ended in an earlier chunk
+            coords = chunk[: d * samples - start]
+            if carry[d].size:
+                coords = np.concatenate((carry[d], coords))
+            whole = coords.size - coords.size % d
+            # a copy, since a view would keep the whole chunk alive
+            carry[d] = coords[whole:].copy()
+            rows = coords[:whole].reshape(-1, d)
+            # numpy's row sum runs a slow short-axis reduction on short rows;
+            # einsum's is as fast or faster at every d up to 512.  On Python
+            # integers einsum is slower, so that side keeps the row sum.
+            if lo.dtype == object:
+                total = rows.sum(axis=1, dtype=object)
+            else:
+                total = np.einsum("ij->i", rows)
+            total.sort()
+            # #(U <= hi) - #(U < lo) counts lo <= U <= hi, as lower <= upper
+            # keeps hi >= lo - 1.
+            hits[d] += np.searchsorted(total, hi, side="right") - np.searchsorted(total, lo, side="left")
+    return {d: [int(h) for h in counts] for d, counts in hits.items()}
 
 
 def _sqrt_upper_bound(value: Fraction) -> Fraction:
@@ -170,10 +196,11 @@ def mc_volumes(specs, samples: int, seed: int) -> tuple[VolumeEstimate, ...]:
 
     Each slab's estimate uses `samples` points drawn uniformly from its
     dilated cube and counts those whose coordinate sum lies in the (closed)
-    slab.  The points of dimension d depend on (d, samples, seed) alone, so
-    the stream is drawn once per d and every slab of that d is counted from
-    it.  The estimate is d! * scale^d * hits / samples; the standard error
-    is the binomial one of the estimate, rounded outward to a rational.
+    slab.  The points of dimension d are a prefix of the seed's one stream,
+    so the stream is drawn once, for the largest d, and every slab is
+    counted from its d's prefix.  The estimate is d! * scale^d * hits /
+    samples; the standard error is the binomial one of the estimate,
+    rounded outward to a rational.
     Acceptance against an exact volume uses mc_band, not this error.
     """
     check_range("sample count", samples, 1)
@@ -182,7 +209,7 @@ def mc_volumes(specs, samples: int, seed: int) -> tuple[VolumeEstimate, ...]:
     for spec in specs:
         ranges.setdefault(spec.d, []).append(_hit_range(spec))
     # one iterator of hit counts per d, read back in input order
-    hits = {d: iter(_count_hits(d, r, samples, seed)) for d, r in ranges.items()}
+    hits = {d: iter(h) for d, h in _count_hits(ranges, samples, seed).items()}
     return tuple(_volume_estimate(spec, next(hits[spec.d]), samples, seed) for spec in specs)
 
 

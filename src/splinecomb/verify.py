@@ -34,10 +34,11 @@ from .numcore import binomial, factorial, format_rational
 class VerifyConfig:
     """Bounds for the verification sweeps.
 
-    At the defaults a full verify_all takes about 0.25 s in-process
-    (medians 0.25, 0.25 and 0.20 s in three sets of seven warm runs,
-    0.19-0.29 s overall, Python 3.11.7 on a 2-vCPU Linux host); raise
-    them for deeper sweeps.  mc_samples applies per (slice, seed) pair.
+    At the defaults a full verify_all takes about 0.18 s in-process
+    (medians 0.18, 0.19 and 0.16 s in three sets of seven warm runs,
+    0.15-0.20 s overall, Python 3.11.7 and numpy 2.4.6 on a shared 2-vCPU
+    Linux host); raise them for deeper sweeps.  mc_samples applies per
+    (slice, seed) pair.
     """
 
     d_max: int = 6
@@ -299,7 +300,7 @@ def mc_pairs(config: VerifyConfig = VerifyConfig()):
     seed) pair of the Monte Carlo sweep: a geometry.VolumeEstimate, its
     mc_band, and whether the estimate lies within that band of the exact
     volume.  Each seed's estimates come from one geometry.mc_volumes call
-    over every slab, so each (d, seed) sample stream is drawn once."""
+    over every slab, so each seed's sample stream is drawn once."""
     cases = mc_cases(config)
     specs = [spec for _, spec, _ in cases]
     per_seed = [geometry.mc_volumes(specs, config.mc_samples, seed) for seed in config.mc_seeds]

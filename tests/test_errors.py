@@ -21,6 +21,27 @@ def test_check_range_messages():
     assert str(exc.value) == "descent count k must be in 0..3, got 4"
 
 
+@pytest.mark.parametrize(
+    "call, what, value",
+    [
+        (lambda: check_range("dimension", 2.0, 1), "dimension", "2.0"),
+        (lambda: check_range("dimension", True, 0), "dimension", "True"),
+        (
+            lambda: geometry.SliceSpec(d=2, scale=1.5, lower=Fraction(0), upper=Fraction(1)),
+            "cube dilation factor",
+            "1.5",
+        ),
+        (lambda: descent.descent_table(3, 2.0, "explicit"), "index bound", "2.0"),
+    ],
+    ids=["float", "bool", "SliceSpec float scale", "descent_table float n"],
+)
+def test_an_argument_that_is_not_an_int_is_refused(call, what, value):
+    # A float inside the range would give a float result.
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == f"{what} must be an int, got {value}"
+
+
 def _unit_slab(d=1, scale=1):
     return geometry.SliceSpec(d=d, scale=scale, lower=Fraction(0), upper=Fraction(0))
 

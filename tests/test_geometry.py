@@ -1,9 +1,11 @@
 """Volume experiments: deterministic Monte Carlo and exact Minkowski recovery."""
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy  # noqa: F401  imported before any trace, so a trace sees only the counter's arrays
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from splinecomb.geometry import (
 )
 from splinecomb.numcore import binomial, factorial
 from splinecomb.polyring import Polynomial
-from splinecomb.verify import VerifyConfig, mc_pairs
+from splinecomb.verify import VerifyConfig, mc_cases, mc_pairs
 
 # Frozen from the scalar splitmix64 definition (additive constant
 # 0x9E3779B97F4A7C15, multipliers 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB).
@@ -110,7 +112,7 @@ def test_mc_determinism_and_frozen_values():
     other_seed = mc_volume(spec, 10_000, 43)
     assert other_seed.hits != est.hits
     ranges = [_hit_range(spec)]
-    assert _count_hits(2, ranges, 5000, 7) == reference_hits(2, ranges, 5000, 7) == [2547]
+    assert _count_hits({2: ranges}, 5000, 7)[2] == reference_hits(2, ranges, 5000, 7) == [2547]
 
 
 # SHA-256 of "<label> seed=<seed> hits=<hits>\n" over mc_pairs at 10^4 samples,
@@ -201,7 +203,7 @@ def specs_and_samples(draw, max_specs):
 def test_hit_counts_match_the_scalar_reference(specs_samples, seed):
     (spec,), samples = specs_samples
     ranges = [_hit_range(spec)]
-    assert _count_hits(spec.d, ranges, samples, seed) == reference_hits(spec.d, ranges, samples, seed)
+    assert _count_hits({spec.d: ranges}, samples, seed)[spec.d] == reference_hits(spec.d, ranges, samples, seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,6 +258,54 @@ def test_counter_reads_the_stream_in_bounded_chunks(monkeypatch, d):
     assert all(count <= max(_CHUNK_COORDS, d) and count % d == 0 for _, count in blocks)
     assert [start for start, _ in blocks] == [sum(count for _, count in blocks[:i]) for i in range(len(blocks))]
     assert sum(count for _, count in blocks) == d * samples
+
+
+@pytest.mark.parametrize(
+    "dims, samples",
+    [
+        # chunks of 9362 samples of d = 7; the prefixes of d = 4, 5 and 6
+        # run past the first chunk, that of d = 2 ends inside it
+        ((2, 4, 5, 6, 7), 20_000),
+        # chunks of 109 samples of d = 600; 512 divides 2^16 but not the
+        # chunk, 513 sums in Python integers, 3 and 7 end in the first chunk
+        ((3, 7, 512, 513, 600), 300),
+    ],
+)
+def test_every_dimension_counts_its_own_prefix_across_chunks(dims, samples):
+    # Each d reads a prefix of the one stream drawn for the largest d, and
+    # carries a partial sample from one chunk into the next.
+    specs = [SliceSpec(d=d, scale=1, lower=Fraction(d, 3), upper=Fraction(2 * d, 3)) for d in reversed(dims)]
+    top = max(dims)
+    assert samples * top >= 2 * (max(1, _CHUNK_COORDS // top) * top)
+    for spec, est in zip(specs, mc_volumes(specs, samples, 23)):
+        assert [est.hits] == reference_hits(spec.d, [_hit_range(spec)], samples, 23)
+
+
+def test_no_slab_draws_no_stream(monkeypatch):
+    monkeypatch.setattr(geometry, "_splitmix64_block", lambda *args: pytest.fail("drew a block"))
+    assert mc_volumes((), 1000, 5) == ()
+    assert _count_hits({}, 1000, 5) == {}
+
+
+@pytest.mark.parametrize("d_max", [6, 9])
+def test_sweep_counter_memory_is_bounded(d_max):
+    # One call over every slab of the sweep keeps a chunk, its sums and a
+    # partial sample per d, never a whole stream.
+    # The peak is read above what is traced before the call, and a trace
+    # already running (python -X tracemalloc) is left running.
+    specs = [spec for _, spec, _ in mc_cases(VerifyConfig(d_max=d_max))]
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before, _ = tracemalloc.get_traced_memory()
+    try:
+        mc_volumes(specs, VerifyConfig().mc_samples, 101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak - before < 3 * 2**20
 
 
 @pytest.mark.parametrize("d,scale,lower,upper", [(600, 7, 1000, 2000), (40, 3, 7, 100)])

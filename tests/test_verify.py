@@ -299,17 +299,18 @@ def test_geometry_case_labels_are_distinct(monkeypatch):
 
 
 def test_mc_suite_draws_each_stream_once_per_dimension_and_seed(monkeypatch):
-    # Every slab of one d shares that d's stream, so a run draws
-    # sum over distinct d of d * samples coordinates per seed, and no more.
+    # Every d reads a prefix of its seed's one stream, so a run draws
+    # max(d) * samples coordinates per seed, and no more.
     drawn = []
     block = geometry._splitmix64_block
     monkeypatch.setattr(
         geometry, "_splitmix64_block", lambda seed, start, count: drawn.append(count) or block(seed, start, count)
     )
-    config = VerifyConfig()
-    assert verify_mc(config).ok
-    dims = {spec.d for _, spec, _ in mc_cases(config)}
-    assert sum(drawn) == sum(dims) * config.mc_samples * len(config.mc_seeds) == 21 * 300_000
+    for config, total in ((VerifyConfig(), 6 * 300_000), (VerifyConfig(d_max=9), 9 * 300_000)):
+        drawn.clear()
+        assert verify_mc(config).ok
+        dims = {spec.d for _, spec, _ in mc_cases(config)}
+        assert sum(drawn) == max(dims) * config.mc_samples * len(config.mc_seeds) == total
 
 
 def test_suites_are_deterministic():
