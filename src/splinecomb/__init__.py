@@ -17,7 +17,6 @@ from .descent import (
     log_concavity_verdict,
 )
 from .errors import (
-    DuplicateNode,
     NegativeResult,
     NonIntegerResult,
     SplinecombError,

@@ -401,7 +401,7 @@ def _run(args) -> int:
     return 0 if leaf.verdict is None or leaf.verdict(result) else 1
 
 
-def main(argv=None) -> int:
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # argparse parses "--flag=--" as an empty list without calling the flag's type.
@@ -412,6 +412,20 @@ def main(argv=None) -> int:
     except (SplinecombError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    """Run one command.  Exact results can run past Python's default
+    int <-> str digit limit, so it is lifted for this call only: an
+    in-process caller keeps its own limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

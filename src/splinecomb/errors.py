@@ -14,10 +14,6 @@ class SplinecombError(Exception):
     """Base class for all library-specific errors."""
 
 
-class DuplicateNode(SplinecombError):
-    """Two interpolation abscissae coincide."""
-
-
 class NonIntegerResult(SplinecombError):
     """An exact value that must be an integer came out as a proper fraction.
 

@@ -247,11 +247,11 @@ def minkowski_poly(d: int, k: int) -> Polynomial:
     """Volume polynomial (in the dilation weight) of the Minkowski sum of
     unit-cube slabs k and k+1, with the second body's weight fixed at 1.
 
-    Interpolated through weights lam = 0..d, where its value is the scaled
-    spline value d! (lam+1)^d B_{d+1}(k + 1/(lam+1)) = descent_spline(d,
+    Interpolated from its values at the weights lam = 0..d, the scaled
+    spline values d! (lam+1)^d B_{d+1}(k + 1/(lam+1)) = descent_spline(d,
     lam+1, k); degree is at most d and coefficient j is C(d, j) times the
     refined Eulerian number AR(d+1, k, d+1-j).
     """
     check_range("dimension", d, 1)
     check_range("slice index k", k, 0, d)
-    return interpolate([(lam, descent.descent_spline(d, lam + 1, k)) for lam in range(d + 1)])
+    return interpolate([descent.descent_spline(d, lam + 1, k) for lam in range(d + 1)])

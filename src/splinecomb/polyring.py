@@ -7,7 +7,8 @@ coefficient is a plain int, any other a Fraction), so structural equality
 is mathematical equality.  Integral coefficients stay ints because the
 expansions behind B-spline pieces, lambda extraction and Minkowski
 interpolation are mostly integral, and int arithmetic skips the gcd
-normalisation every Fraction operation pays.
+normalisation every Fraction operation pays.  `interpolate` fits values
+at the nodes 0..n-1 by forward differences, in ints for int values.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DuplicateNode, check_range
+from .errors import check_range
 from .numcore import format_rational
 
 
@@ -142,27 +143,26 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
-def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> Polynomial:
-    """Newton interpolation through the given (x, y) points, exactly.
+def interpolate(values: Sequence[Fraction | int]) -> Polynomial:
+    """The polynomial of degree < len(values) through (m, values[m]) for
+    m = 0..len(values)-1, exactly.
 
-    Divided differences, computed in place, give the Newton coefficients;
-    Horner's rule expands them.  Returns the unique polynomial of degree
-    < len(points).  Raises DuplicateNode if two abscissae coincide.
+    Newton's forward form sum_j D^j v_0 t(t-1)...(t-j+1)/j!, from forward
+    differences taken in place and expanded by Horner's rule over a
+    coefficient list scaled by (n-1)!, so int values stay ints until the
+    one division at the end.
     """
-    if not points:
-        raise ValueError("need at least one point")
-    xs = [Fraction(x) for x, _ in points]
-    cs = [Fraction(y) for _, y in points]
-    seen = set()
-    for x in xs:
-        if x in seen:
-            raise DuplicateNode(f"duplicate interpolation node {format_rational(x)}")
-        seen.add(x)
-
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
-    result = Polynomial()
-    for xi, ci in zip(reversed(xs), reversed(cs)):
-        result = result * Polynomial([-xi, 1]) + Polynomial([ci])
-    return result
+    if not values:
+        raise ValueError("need at least one value")
+    diffs = list(values)
+    n = len(diffs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    # acc is the Horner partial sum from j up, times w = (n-1)!/j!.
+    acc, w = [diffs[-1]], 1
+    for j in range(n - 2, -1, -1):
+        w *= j + 1
+        acc = [lower - j * c for lower, c in zip([0, *acc], [*acc, 0])]  # times (t - j)
+        acc[0] += w * diffs[j]
+    return Polynomial(Fraction(c, w) for c in acc)

@@ -7,15 +7,8 @@ errors of the exact slab probability, at most one excursion per sweep) is
 part of its contract.  All suites are deterministic, including the
 pseudo-random sample points.
 
-Routes that expand one formula share its faults.  By formula:
-  sum_i (-1)^i C(d+1, i) (.)^d, over binomial and factorial: bspline
-    explicit; row and descent spline (via bspline_eval_explicit); refined
-    explicit and lambda (in Polynomial); descent explicit and refined (a
-    binomial sum of the explicit refined triangle's rows)
-  order-lowering recurrence, ints only: bspline recurrence
-  dimension recurrence, ints only: descent recurrence, also read at 2n by
-    two-scale d n k against the spline table at n
-  _descent_grid enumeration by _descents: every brute route
+Routes that expand one formula share its faults; README's route table
+names each route's formula and the primitives it calls.
 """
 
 from __future__ import annotations
@@ -297,7 +290,8 @@ def mc_cases(config: VerifyConfig = VerifyConfig()):
 
 def mc_pairs(config: VerifyConfig = VerifyConfig()):
     """Yield (label, seed, exact, estimate, band, inside) for each (slab,
-    seed) pair of the Monte Carlo sweep: a geometry.VolumeEstimate, its
+    seed) pair of the Monte Carlo sweep: the seed the generator ran from
+    (the estimate's, reduced mod 2^64), a geometry.VolumeEstimate, its
     mc_band, and whether the estimate lies within that band of the exact
     volume.  Each seed's estimates come from one geometry.mc_volumes call
     over every slab, so each seed's sample stream is drawn once."""
@@ -306,9 +300,9 @@ def mc_pairs(config: VerifyConfig = VerifyConfig()):
     per_seed = [geometry.mc_volumes(specs, config.mc_samples, seed) for seed in config.mc_seeds]
     for i, (label, spec, exact) in enumerate(cases):
         band = geometry.mc_band(spec, exact, config.mc_samples)
-        for seed, estimates in zip(config.mc_seeds, per_seed):
+        for estimates in per_seed:
             est = estimates[i]
-            yield label, seed, exact, est, band, abs(est.estimate - exact) <= band
+            yield label, est.seed, exact, est, band, abs(est.estimate - exact) <= band
 
 
 def mc_sweep_passes(excursions: int) -> bool:

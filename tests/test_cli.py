@@ -8,13 +8,14 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinecomb import cli, geometry, verify
+from splinecomb import cli, descent, eulerian, geometry, splinecore, verify
 from splinecomb.cli import main
 from splinecomb.numcore import format_rational, parse_rational
 from splinecomb.verify import VerifyConfig, VerifyReport
@@ -148,6 +149,24 @@ def test_bspline_eval_routes(capsys):
         code, out = run_cli(capsys, "bspline", "eval", "--d", "3", "--x", "3/2", "--route", route)
         assert code == 0
         assert out.strip() == "3/4"
+
+
+def test_exact_results_past_the_int_digit_limit_print_every_digit(capsys):
+    # The value's numerator and denominator run past Python's default limit
+    # of 4300 digits for int <-> str conversion.
+    limit = sys.get_int_max_str_digits()
+    value = splinecore.bspline_eval_explicit(3000, Fraction(1, 3))
+    assert value.denominator > 10**4300
+    for fmt in ("csv", "json"):
+        code, out = run_cli(capsys, "bspline", "eval", "--d", "3000", "--x", "1/3", "--format", fmt)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit  # restored on return
+        text = out.strip() if fmt == "csv" else json.loads(out)["value"]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse_rational(text) == value
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_bspline_piece(capsys):
@@ -286,6 +305,17 @@ def test_geometry_sweep(capsys):
     ]
 
 
+def test_geometry_sweep_prints_the_seed_the_generator_ran_from(capsys):
+    # -5 and 2^64 - 5 seed the same stream, as in `geometry mc`.
+    outputs = []
+    for seeds in ("-5", "18446744073709551611"):
+        code, out = run_cli(capsys, *_SMALL_SWEEP, f"--seeds={seeds}")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert {row.split(",")[1] for row in outputs[0].splitlines()[1:]} == {"18446744073709551611"}
+
+
 def test_geometry_sweep_exits_1_on_two_excursions_and_prints_every_row(capsys, monkeypatch):
     # Move the first two estimates of the first seed far outside their band.
     volumes = geometry.mc_volumes
@@ -357,6 +387,37 @@ def test_readme_cli_block_names_every_leaf():
         assert program == "splinecomb", line
         paths.append(" ".join(itertools.takewhile(str.isalpha, words)))
     assert sorted(paths) == sorted(cli._leaves())
+
+
+def _readme_table(readme: str, header: str) -> list[list[str]]:
+    """The body rows of the README table under `header`, as lists of cells."""
+    lines = readme.split(f"\n{header}\n", 1)[1].splitlines()[1:]  # past the |---| line
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines)
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_readme_route_tables_and_cli_block_name_every_route_in_order():
+    # Routes get added and swapped; this catches a README table left stale.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    expected = [
+        ("B-spline value", list(splinecore.EVAL_ROUTES)),
+        ("Eulerian row", list(eulerian.ROW_ROUTES)),
+        ("refined triangle", list(eulerian.REFINED_ROUTES)),
+        ("descent table", list(descent.TABLE_ROUTES)),
+    ]
+    tables = _readme_table(readme, "| family | table | routes |")
+    assert [(family, routes.split(", ")) for family, _, routes in tables] == expected
+    formulas = {}
+    for family, route, *_ in _readme_table(readme, "| family | route | formula | primitives |"):
+        formulas.setdefault(family, []).append(route)
+    assert list(formulas.items()) == expected
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    cli_routes = []
+    for line in block.splitlines():
+        if match := re.search(r"--route ([\w|]+)", line):
+            cli_routes.append((" ".join(line.split()[1:3]), match[1].split("|")))
+    leaves = ["bspline eval", "eulerian row", "eulerian refined", "descent table"]
+    assert cli_routes == [(leaf, routes) for leaf, (_, routes) in zip(leaves, expected)]
 
 
 def test_usage_error_exits_2():

@@ -370,7 +370,8 @@ def test_minkowski_at_zero_is_next_slice_volume():
             assert minkowski_poly(d, k)(0) == eulerian_spline(d, k + 1)
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+# d = 16 is the size the tables-large benchmark runs.
+@pytest.mark.parametrize("d", [*range(1, 7), 16, 24])
 def test_minkowski_coefficients_are_refined_counts(d):
     triangle = refined_triangle(d, "explicit")
     for k in range(d + 1):

@@ -6,7 +6,6 @@ import splinecomb
 
 PUBLIC_NAMES = [
     "DescentTable",
-    "DuplicateNode",
     "EulerianRow",
     "NegativeResult",
     "NonIntegerResult",
