@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -397,7 +398,15 @@ def _run(args) -> int:
     for name in leaf.echo:
         value = getattr(args, name)
         payload[name] = format_rational(value) if isinstance(value, Fraction) else value
-    _emit(args, rows, {**payload, **fields})
+    try:
+        _emit(args, rows, {**payload, **fields})
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull, so the flush
+        # at interpreter exit drops what is still buffered instead of failing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if leaf.verdict is None or leaf.verdict(result) else 1
 
 

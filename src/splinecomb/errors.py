@@ -1,4 +1,4 @@
-"""Exception types shared across the package and the two argument guards.
+"""Exception types shared across the package and the three argument guards.
 
 `check_range` is the one integer range rule: every entry point that takes a
 dimension, order, piece index, index bound, descent count or other integer
@@ -6,9 +6,14 @@ argument refuses a value that is not an int with ValueError("<what> must be
 an int, got <value>"), so no float reaches an exact result, and a value
 outside its range with ValueError("<what> must be >= lo, got <value>") or
 ("<what> must be in lo..hi, got <value>").
+`check_rational` is the one rule for an exact rational argument (a spline
+argument, an integration bound, a slab bound): it refuses anything but an
+int or a Fraction, so neither a float's binary value nor a string reaches
+an exact result.
 `check_budget` refuses an enumeration larger than its budget with TooLarge.
 """
 
+from fractions import Fraction
 
 class SplinecombError(Exception):
     """Base class for all library-specific errors."""
@@ -51,3 +56,10 @@ def check_range(what: str, value: int, lo: int, hi: int | None = None) -> None:
     if value < lo or (hi is not None and value > hi):
         bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise ValueError(f"{what} must be {bound}, got {value}")
+
+
+def check_rational(what: str, value) -> None:
+    """Refuse `value` for the argument `what` unless it is an int (not a
+    bool) or a Fraction."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise ValueError(f"{what} {value!r} is not an int or a Fraction")

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import ceil, floor, isqrt
 
 from . import descent
-from .errors import check_range
+from .errors import check_range, check_rational
 from .numcore import factorial
 from .polyring import Polynomial, interpolate
 
@@ -63,8 +63,7 @@ class SliceSpec:
         check_range("dimension", self.d, 1)
         check_range("cube dilation factor", self.scale, 1)
         for bound in (self.lower, self.upper):
-            if not isinstance(bound, (int, Fraction)):
-                raise ValueError(f"slab bound {bound!r} is not an int or a Fraction")
+            check_rational("slab bound", bound)
         if not 0 <= self.lower <= self.upper <= self.scale * self.d:
             raise ValueError(
                 f"slab [{self.lower}, {self.upper}] not inside [0, {self.scale * self.d}]"

@@ -5,9 +5,9 @@ i-th power of the indeterminate.  The representation is canonical (no
 trailing zeros; the zero polynomial is the empty tuple; an integral
 coefficient is a plain int, any other a Fraction), so structural equality
 is mathematical equality.  Integral coefficients stay ints because the
-expansions behind B-spline pieces, lambda extraction and Minkowski
-interpolation are mostly integral, and int arithmetic skips the gcd
-normalisation every Fraction operation pays.  `interpolate` fits values
+expansions behind lambda extraction and Minkowski interpolation are
+mostly integral, and int arithmetic skips the gcd normalisation every
+Fraction operation pays.  `interpolate` fits values
 at the nodes 0..n-1 by forward differences, in ints for int values.
 """
 

@@ -12,21 +12,22 @@ returns Fractions; out-of-support arguments give 0 rather than an error.
 The refinement and partition-of-unity identities are checked in
 `verify.verify_bspline`.
 
-Both evaluators work in plain ints at x = p/q in lowest terms (q > 0):
-each scales its formula by a common denominator, q^(d-1) * (d-1)!, sums
-integer terms, and builds one Fraction from the scaled sum at the end,
-so a value costs one gcd instead of one per term.  The two routes share
-no kernel beyond `binomial` and `factorial`, and neither calls a
-descent or Eulerian route.
+Every function here works in plain ints at x = p/q in lowest terms
+(q > 0): it scales its formula by a common denominator, sums integer
+terms, and divides once at the end (once per coefficient for a piece),
+so a value costs one gcd instead of one per term.  The evaluators scale
+by q^(d-1) * (d-1)!, the piece by (d-1)!, and the integral by q^d * d!
+per bound.  The routes share no kernel beyond `binomial` and
+`factorial`, none calls a descent or Eulerian route, and no `Polynomial`
+arithmetic runs here: the piece only constructs its result.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import check_range
+from .errors import check_range, check_rational
 from .numcore import binomial, factorial
 from .polyring import Polynomial
 
@@ -51,7 +52,7 @@ def bspline_eval_explicit(d: int, x: Fraction | int) -> Fraction:
     q^(d-1) * (d-1)!.
     """
     check_range("spline order", d, 1)
-    x = Fraction(x)
+    check_rational("spline argument", x)
     p, q = x.numerator, x.denominator
     if p < 0 or p >= d * q:
         return Fraction(0)
@@ -75,7 +76,7 @@ def bspline_eval_recurrence(d: int, x: Fraction | int) -> Fraction:
     bit-exactly with the explicit route.
     """
     check_range("spline order", d, 1)
-    x = Fraction(x)
+    check_rational("spline argument", x)
     p, q = x.numerator, x.denominator
     shifted = [p - m * q for m in range(d)]
     vals = [1 if 0 <= r < q else 0 for r in shifted]
@@ -98,34 +99,57 @@ EVAL_ROUTES = {
 def bspline_piece(d: int, j: int) -> PiecePoly:
     """Polynomial equal to B_d on [j, j+1), for 0 <= j <= d-1.
 
-    Built from the explicit sum: on that interval exactly the terms with
-    shift i <= j are active, each contributing a full (not truncated)
-    power.
+    On that interval exactly the terms of the explicit sum with shift
+    i <= j are active, each a full (not truncated) power (x - i)^(d-1).
+    Expanding them by the binomial theorem, coefficient m is
+    C(d-1, m) * sum_{i <= j} (-1)^i C(d, i) (-i)^(d-1-m), over (d-1)!,
+    with 0**0 == 1.  The sums are taken in ints, one power of -i at a
+    time, and no evaluator is called, so the piece stays a separate route.
     """
     check_range("spline order", d, 1)
     check_range("piece index", j, 0, d - 1)
-    acc = Polynomial()
-    for i in range(j + 1):
-        term = Polynomial([-i, 1]) ** (d - 1) * binomial(d, i)
-        acc = acc - term if i & 1 else acc + term
-    return PiecePoly(order=d, piece_index=j, poly=acc * Fraction(1, factorial(d - 1)))
+    n = d - 1
+    signed = [-binomial(d, i) if i & 1 else binomial(d, i) for i in range(j + 1)]
+    powers = [1] * (j + 1)  # (-i)^e for e = 0, 1, ..., n
+    sums = []
+    for _ in range(n + 1):
+        sums.append(sum(w * v for w, v in zip(signed, powers)))
+        powers = [-i * v for i, v in enumerate(powers)]
+    scale = factorial(n)
+    coeffs = [Fraction(binomial(n, m) * sums[n - m], scale) for m in range(n + 1)]
+    return PiecePoly(order=d, piece_index=j, poly=Polynomial(coeffs))
 
 
 def bspline_integrate(d: int, a: Fraction | int, b: Fraction | int) -> Fraction:
-    """Exact integral of B_d over [a, b] via piecewise antiderivatives."""
+    """Exact integral of B_d over [a, b], as F(b) - F(a).
+
+    F(x) = sum_{i <= x} (-1)^i C(d, i) (x - i)^d / d! is the explicit sum
+    integrated term by term, for x clamped to [0, d]: it is 0 at x = 0 and
+    1 at x = d.  At x = p/q it is taken in ints scaled by q^d * d!, and the
+    two bounds share one division.  The powers are those of the explicit
+    sum of B_(d+1) but weighted by C(d, i) rather than C(d+1, i), so the
+    integral bridge A(d, k) = d! B_(d+1)(k) = d! (F(k) - F(k-1)) still
+    checks Pascal's rule.
+    """
     check_range("spline order", d, 1)
-    a, b = Fraction(a), Fraction(b)
+    check_rational("integration bound", a)
+    check_rational("integration bound", b)
     if a > b:
         raise ValueError("integration bounds must satisfy a <= b")
-    lo, hi = max(a, Fraction(0)), min(b, Fraction(d))
-    if lo >= hi:
-        return Fraction(0)
-    total = Fraction(0)
-    for j in range(math.floor(lo), math.ceil(hi)):
-        left, right = max(lo, Fraction(j)), min(hi, Fraction(j + 1))
-        anti = bspline_piece(d, j).poly.antiderivative()
-        total += anti(right) - anti(left)
-    return total
+    scaled = []
+    for x in (a, b):
+        p, q = x.numerator, x.denominator
+        if p <= 0:
+            p, q = 0, 1
+        elif p >= d * q:
+            p, q = d, 1
+        acc = 0
+        for i in range(p // q + 1):
+            term = binomial(d, i) * (p - i * q) ** d
+            acc = acc - term if i & 1 else acc + term
+        scaled.append((acc, q**d))
+    (fa, qa), (fb, qb) = scaled
+    return Fraction(fb * qa - fa * qb, qa * qb * factorial(d))
 
 
 def _log_concavity_margins(v):

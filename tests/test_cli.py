@@ -5,6 +5,7 @@ import dataclasses
 import io
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -527,6 +528,43 @@ def test_numpy_is_imported_only_by_the_counter_and_the_vector_oracle():
     assert (large.returncode, large.stdout, large.stderr) == (
         0, "0,1\n1,4089\n2,88998\n3,262438\n4,154113\n5,15177\n6,64\n", "True\n"
     )
+
+
+# Runs `python -m splinecomb` with the given argv.  With "fail" first, verify
+# --all instead reports 5000 failures, so its verdict is 1 and its csv fills
+# more than a pipe's buffer.
+_CLOSED_PIPE_PROBE = """
+import runpy, sys
+from splinecomb import verify
+if sys.argv[1] == "fail":
+    del sys.argv[1]
+    failures = tuple((f"case {i}", "1", "2") for i in range(5000))
+    verify.verify_all = lambda config: [verify.VerifyReport("demo", 5000, failures)]
+runpy.run_module("splinecomb", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered, first_line, status",
+    [
+        # 143 kB of csv, well past the pipe's buffer.
+        (("eulerian", "refined", "--d", "50"), "1", b"0,0,1\n", 0),
+        (("eulerian", "refined", "--d", "50"), "", b"0,0,1\n", 0),
+        (("fail", "verify", "--all"), "1", b"suite,cases_run,cases_failed\n", 1),
+    ],
+    ids=["unbuffered", "buffered", "failed-verdict"],
+)
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(argv, unbuffered, first_line, status):
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CLOSED_PIPE_PROBE, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (status, b"")
 
 
 def test_module_entry_point():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from splinecomb import descent, eulerian, geometry, splinecore
-from splinecomb.errors import check_range
+from splinecomb.errors import check_range, check_rational
 from splinecomb.polyring import Polynomial
 
 
@@ -40,6 +40,25 @@ def test_an_argument_that_is_not_an_int_is_refused(call, what, value):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == f"{what} must be an int, got {value}"
+
+
+@pytest.mark.parametrize(
+    "call, what, value",
+    [
+        (lambda: check_rational("bound", True), "bound", "True"),
+        (lambda: splinecore.bspline_eval_explicit(3, 0.1), "spline argument", "0.1"),
+        (lambda: splinecore.bspline_eval_recurrence(3, "1/2"), "spline argument", "'1/2'"),
+        (lambda: splinecore.bspline_integrate(3, "1/2", Fraction(5, 2)), "integration bound", "'1/2'"),
+        (lambda: splinecore.bspline_integrate(3, 0, 2.5), "integration bound", "2.5"),
+        (lambda: geometry.SliceSpec(d=2, scale=1, lower=True, upper=Fraction(1)), "slab bound", "True"),
+    ],
+    ids=["bool", "explicit float", "recurrence str", "integrate str", "integrate float", "SliceSpec bool bound"],
+)
+def test_an_argument_that_is_not_an_int_or_a_fraction_is_refused(call, what, value):
+    # A float would give the exact value of its binary expansion.
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == f"{what} {value} is not an int or a Fraction"
 
 
 def _unit_slab(d=1, scale=1):

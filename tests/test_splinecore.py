@@ -286,6 +286,78 @@ def reference_recurrence(d, x):
     return vals[0]
 
 
+# The Polynomial forms of the piece and the integral: the piece as a sum of
+# shifted powers, the integral as piecewise antiderivatives over the unit
+# intervals that [a, b] meets.  They are the references of the int kernels.
+def reference_piece(d, j):
+    acc = Polynomial()
+    for i in range(j + 1):
+        term = Polynomial([-i, 1]) ** (d - 1) * math.comb(d, i)
+        acc = acc - term if i & 1 else acc + term
+    return acc * Fraction(1, math.factorial(d - 1))
+
+
+def reference_integral(d, a, b):
+    lo, hi = max(Fraction(a), Fraction(0)), min(Fraction(b), Fraction(d))
+    total = Fraction(0)
+    for j in range(math.floor(lo), math.ceil(hi)):
+        anti = reference_piece(d, j).antiderivative()
+        total += anti(min(hi, j + 1)) - anti(max(lo, j))
+    return total
+
+
+@pytest.mark.parametrize("d", range(1, 31))
+def test_every_piece_matches_the_polynomial_sum(d):
+    for j in range(d):
+        assert bspline_piece(d, j).poly == reference_piece(d, j)
+
+
+@pytest.mark.parametrize("d", range(1, 25))
+def test_integral_matches_the_piecewise_antiderivatives(d):
+    rng = random.Random(7000 + d)
+
+    def bound():
+        q = rng.randint(1, 30)
+        return Fraction(rng.randint(-3 * q, (d + 3) * q), q)
+
+    for _ in range(12):
+        a, b = sorted([bound(), bound()])
+        assert bspline_integrate(d, a, b) == reference_integral(d, a, b)
+        assert bspline_integrate(d, a, a) == 0
+    for a, b in [(-2, -1), (d + 1, d + 2), (-1, d + 1), (0, d), (Fraction(-1, 3), Fraction(1, 3))]:
+        assert bspline_integrate(d, a, b) == reference_integral(d, a, b)
+
+
+POLYNOMIAL_OPERATIONS = ("__add__", "__neg__", "__sub__", "__mul__", "__pow__", "__call__", "antiderivative")
+
+
+def test_pieces_and_integrals_run_without_polynomial_arithmetic(monkeypatch):
+    cases = [(d, j) for d in (1, 2, 5, 9) for j in range(d)]
+    pieces = [reference_piece(d, j) for d, j in cases]
+    bounds = [(1, 0, 1), (4, Fraction(-1, 2), Fraction(7, 3)), (9, 3, 12)]
+    integrals = [reference_integral(*args) for args in bounds]
+    for name in POLYNOMIAL_OPERATIONS:
+        monkeypatch.setattr(Polynomial, name, _raising(f"Polynomial.{name}"))
+    with pytest.raises(AssertionError, match="was called"):
+        Polynomial([1]) ** 2
+    assert [bspline_piece(d, j).poly.coeffs for d, j in cases] == [p.coeffs for p in pieces]
+    assert [bspline_integrate(*args) for args in bounds] == integrals
+
+
+def test_integrate_calls_no_other_spline_function(rebind):
+    for name, fn in inspect.getmembers(splinecore, inspect.isfunction):
+        if fn.__module__ == splinecore.__name__ and name != "bspline_integrate":
+            rebind(fn, _raising(name))
+    a, b = Fraction(-1, 2), Fraction(7, 3)
+    assert bspline_integrate(4, a, b) == reference_integral(4, a, b)
+
+
+def test_unit_integral_at_order_200():
+    assert bspline_integrate(200, 0, 200) == 1
+    assert bspline_integrate(200, -1, 300) == 1
+    assert bspline_integrate(200, 99, 100) == bspline_eval_explicit(201, 100)
+
+
 @st.composite
 def orders_and_points(draw):
     """(d, x) with d up to 60 and x on a knot or p/q with q up to 10^12,
