@@ -1,9 +1,11 @@
 """Command-line interface.
 
 One executable with subcommand groups for spline evaluation, table
-generation, volume experiments, and identity verification.  Every number
-is emitted as a canonical "p/q" or integer string, never floating point,
-and identical argument vectors produce byte-identical output.
+generation, volume experiments, and identity verification.  Integer
+flags take decimal text "p" (`_integer`), rational flags "p" or "p/q",
+and the sweep leaves' flags reach `VerifyConfig` through `_config` alone.
+Every number is emitted as a canonical "p/q" or integer string, never
+floating point, and identical argument vectors produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure (report still emitted in
 full), 2 usage error, argument outside the library's domain, or
@@ -15,8 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -26,28 +29,35 @@ from .numcore import factorial, format_rational, parse_rational
 from .verify import VerifyConfig, VerifyReport
 
 
-def _at_least(lo: int) -> Callable[[str], int]:
-    """An argparse type for an integer >= lo.  It words its own refusal:
-    argparse prints only the text of an ArgumentTypeError."""
+def _integer(lo: int | None = None) -> Callable[[str], int]:
+    """The argparse type of every integer flag: decimal text "p", as in the
+    rational wire format, that is >= lo when lo is given.  argparse words a
+    ValueError "invalid integer value" and prints an ArgumentTypeError's text."""
 
     def integer(text: str) -> int:
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise ValueError(text)
         value = int(text)
-        if value < lo:
+        if lo is not None and value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
         return value
 
     return integer
 
 
+_INTEGER = _integer()
+_POSITIVE = _integer(1)
+
+
 def _seed_list(text: str) -> tuple[int, ...]:
     """An argparse type for a comma-separated list of integer seeds."""
     try:
-        return tuple(int(seed) for seed in text.split(","))
+        return tuple(_INTEGER(seed) for seed in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
 
 
-def _required(flag: str, type=int) -> tuple[str, dict]:
+def _required(flag: str, type=_INTEGER) -> tuple[str, dict]:
     return flag, {"type": type, "required": True}
 
 
@@ -56,15 +66,16 @@ def _route(routes: dict) -> tuple[str, dict]:
     return "--route", {"choices": tuple(routes), "default": next(iter(routes))}
 
 
-_POSITIVE = _at_least(1)
 _D = _required("--d", _POSITIVE)
 _N = _required("--n", _POSITIVE)
 _D_MAX = ("--d-max", {"type": _POSITIVE, "default": VerifyConfig.d_max})
+_DILATED_D_MAX = ("--dilated-d-max", {"type": _POSITIVE, "default": VerifyConfig.mc_dilated_d_max})
 _N_MAX = ("--n-max", {"type": _POSITIVE, "default": VerifyConfig.n_max})
 _SAMPLES = (
     "--samples",
     {"type": _POSITIVE, "default": VerifyConfig.mc_samples, "help": "Monte Carlo samples per slice/seed"},
 )
+_SEEDS = ("--seeds", {"type": _seed_list, "default": VerifyConfig.mc_seeds, "help": "comma-separated seed list"})
 # Only the leaves that may enumerate take a budget.
 _BUDGET = (
     "--budget",
@@ -74,6 +85,17 @@ _BUDGET = (
         "help": "most objects any brute-force enumeration may visit",
     },
 )
+
+
+# The sweep flags whose dest differs from the VerifyConfig field they set.
+_CONFIG_ALIASES = {"samples": "mc_samples", "seeds": "mc_seeds", "dilated_d_max": "mc_dilated_d_max"}
+
+
+def _config(args) -> VerifyConfig:
+    """The VerifyConfig a sweep leaf's flags set: a flag sets the field its
+    dest names or its alias maps to; a field without a flag keeps its default."""
+    flags = {_CONFIG_ALIASES.get(dest, dest): value for dest, value in vars(args).items()}
+    return VerifyConfig(**{f.name: flags[f.name] for f in fields(VerifyConfig) if f.name in flags})
 
 
 @dataclass(frozen=True)
@@ -253,7 +275,7 @@ def _leaves() -> dict[str, _Leaf]:
         "eulerian verify": _Leaf(
             "Eulerian identity suite",
             (_D_MAX, _BUDGET),
-            lambda a: [verify.verify_eulerian(VerifyConfig(d_max=a.d_max, budget=a.budget))],
+            lambda a: [verify.verify_eulerian(_config(a))],
             _reports,
             verdict=_all_ok,
         ),
@@ -274,16 +296,14 @@ def _leaves() -> dict[str, _Leaf]:
         "descent verify": _Leaf(
             "descent identity suite",
             (_D_MAX, _N_MAX, _BUDGET),
-            lambda a: [
-                verify.verify_descent(VerifyConfig(d_max=a.d_max, n_max=a.n_max, budget=a.budget))
-            ],
+            lambda a: [verify.verify_descent(_config(a))],
             _reports,
             verdict=_all_ok,
         ),
         "descent margins": _Leaf(
             "log-concavity margins of the descent tables",
             # d = 1 has no interior margin, so the sweep starts at d = 2.
-            (("--d-max", {"type": _at_least(2), "default": 10}), ("--n-max", {"type": _POSITIVE, "default": 4})),
+            (("--d-max", {"type": _integer(2), "default": 10}), ("--n-max", {"type": _POSITIVE, "default": 4})),
             lambda a: [
                 descent.descent_table(d, n, "spline")
                 for d in range(2, a.d_max + 1)
@@ -317,27 +337,8 @@ def _leaves() -> dict[str, _Leaf]:
         ),
         "geometry sweep": _Leaf(
             "Monte Carlo estimates vs exact slab volumes",
-            (
-                _D_MAX,
-                ("--dilated-d-max", {"type": _POSITIVE, "default": VerifyConfig.mc_dilated_d_max}),
-                _N_MAX,
-                _SAMPLES,
-                (
-                    "--seeds",
-                    {"type": _seed_list, "default": VerifyConfig.mc_seeds, "help": "comma-separated seed list"},
-                ),
-            ),
-            lambda a: list(
-                verify.mc_pairs(
-                    VerifyConfig(
-                        d_max=a.d_max,
-                        n_max=a.n_max,
-                        mc_samples=a.samples,
-                        mc_seeds=a.seeds,
-                        mc_dilated_d_max=a.dilated_d_max,
-                    )
-                )
-            ),
+            (_D_MAX, _DILATED_D_MAX, _N_MAX, _SAMPLES, _SEEDS),
+            lambda a: list(verify.mc_pairs(_config(a))),
             _sweep,
             ("d_max", "dilated_d_max", "n_max", "samples", "seeds"),
             _sweep_passes,
@@ -351,9 +352,7 @@ def _leaves() -> dict[str, _Leaf]:
                 _SAMPLES,
                 _BUDGET,
             ),
-            lambda a: verify.verify_all(
-                VerifyConfig(d_max=a.d_max, n_max=a.n_max, budget=a.budget, mc_samples=a.samples)
-            ),
+            lambda a: verify.verify_all(_config(a)),
             _reports,
             verdict=_all_ok,
         ),

@@ -7,9 +7,10 @@ an int, got <value>"), so no float reaches an exact result, and a value
 outside its range with ValueError("<what> must be >= lo, got <value>") or
 ("<what> must be in lo..hi, got <value>").
 `check_rational` is the one rule for an exact rational argument (a spline
-argument, an integration bound, a slab bound): it refuses anything but an
-int or a Fraction, so neither a float's binary value nor a string reaches
-an exact result.
+argument, an integration bound, a slab bound, a polynomial coefficient, an
+evaluation point, an interpolation value): it refuses anything but an int
+or a Fraction, so neither a float's binary value nor a string reaches an
+exact result.
 `check_budget` refuses an enumeration larger than its budget with TooLarge.
 """
 

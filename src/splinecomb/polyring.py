@@ -9,6 +9,8 @@ expansions behind lambda extraction and Minkowski interpolation are
 mostly integral, and int arithmetic skips the gcd normalisation every
 Fraction operation pays.  `interpolate` fits values
 at the nodes 0..n-1 by forward differences, in ints for int values.
+A coefficient, evaluation point or interpolation value must be an int or
+a Fraction (`errors.check_rational`), so no float or string gets in.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import check_range
+from .errors import check_range, check_rational
 from .numcore import format_rational
 
 
@@ -24,7 +26,7 @@ def _normalize(coeffs: Iterable[Fraction | int]) -> tuple[int | Fraction, ...]:
     cs = []
     for c in coeffs:
         if type(c) is not int:
-            c = Fraction(c)
+            check_rational("polynomial coefficient", c)
             if c.denominator == 1:
                 c = c.numerator
         cs.append(c)
@@ -108,6 +110,7 @@ class Polynomial:
 
     def __call__(self, x: Fraction | int) -> Fraction:
         """Exact Horner evaluation."""
+        check_rational("evaluation point", x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -154,6 +157,8 @@ def interpolate(values: Sequence[Fraction | int]) -> Polynomial:
     """
     if not values:
         raise ValueError("need at least one value")
+    for value in values:
+        check_rational("interpolation value", value)
     diffs = list(values)
     n = len(diffs)
     for j in range(1, n):

@@ -34,10 +34,8 @@ from .polyring import Polynomial
 
 @dataclass(frozen=True)
 class PiecePoly:
-    """The polynomial B_d restricts to on [piece_index, piece_index + 1)."""
+    """The polynomial B_d restricts to on [j, j + 1), from `bspline_piece(d, j)`."""
 
-    order: int
-    piece_index: int
     poly: Polynomial
 
 
@@ -117,7 +115,7 @@ def bspline_piece(d: int, j: int) -> PiecePoly:
         powers = [-i * v for i, v in enumerate(powers)]
     scale = factorial(n)
     coeffs = [Fraction(binomial(n, m) * sums[n - m], scale) for m in range(n + 1)]
-    return PiecePoly(order=d, piece_index=j, poly=Polynomial(coeffs))
+    return PiecePoly(Polynomial(coeffs))
 
 
 def bspline_integrate(d: int, a: Fraction | int, b: Fraction | int) -> Fraction:

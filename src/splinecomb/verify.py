@@ -89,8 +89,6 @@ class _Recorder:
 
 
 def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, Fraction)):
         return format_rational(value)
     return str(value)

@@ -1,5 +1,6 @@
 """Command-line surface: grammars, formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -344,6 +345,44 @@ def test_geometry_sweep_defaults_are_the_verify_config_defaults(capsys, monkeypa
     capsys.readouterr()
 
 
+# Each sweep leaf with every flag away from its default, and the config it must run.
+SWEEP_CONFIGS = {
+    "eulerian verify": (("--d-max", "2", "--budget", "7"), VerifyConfig(d_max=2, budget=7)),
+    "descent verify": (
+        ("--d-max", "2", "--n-max", "1", "--budget", "7"),
+        VerifyConfig(d_max=2, n_max=1, budget=7),
+    ),
+    "geometry sweep": (
+        ("--d-max", "2", "--dilated-d-max", "1", "--n-max", "1", "--samples", "50", "--seeds", "5,-6"),
+        VerifyConfig(d_max=2, n_max=1, mc_samples=50, mc_seeds=(5, -6), mc_dilated_d_max=1),
+    ),
+    "verify": (
+        ("--all", "--d-max", "2", "--n-max", "1", "--samples", "50", "--budget", "7"),
+        VerifyConfig(d_max=2, n_max=1, budget=7, mc_samples=50),
+    ),
+}
+
+
+@pytest.mark.parametrize("path", SWEEP_CONFIGS)
+def test_every_sweep_flag_reaches_its_config_field(capsys, monkeypatch, path):
+    args, expected = SWEEP_CONFIGS[path]
+    argv = [*path.split(), *args]
+    leaf = cli._leaves()[path]
+    assert {arg for arg in args if arg.startswith("--")} == {flag for flag, _ in leaf.arguments}
+    parsed = cli.build_parser().parse_args(argv)
+    for flag, options in leaf.arguments:
+        if "default" in options:
+            assert getattr(parsed, flag[2:].replace("-", "_")) != options["default"], flag
+    configs = []
+    report = VerifyReport(suite="demo", cases_run=1, failures=())
+    results = {"verify_eulerian": report, "verify_descent": report, "verify_all": [report], "mc_pairs": []}
+    for name, result in results.items():
+        monkeypatch.setattr(verify, name, lambda config, result=result: configs.append(config) or result)
+    assert main(argv) == 0
+    assert configs == [expected]
+    capsys.readouterr()
+
+
 def test_descent_margins(capsys):
     code, out = run_cli(capsys, "descent", "margins", "--d-max", "3", "--n-max", "2")
     assert code == 0
@@ -364,19 +403,75 @@ SWEEP_USAGE_ERRORS = [
 ]
 
 
+# (leaf, argv, the refusal argparse prints for the value).  Python's int()
+# reads each of these texts as a number, but an integer flag takes only
+# decimal text, as a rational flag does.
+NON_DECIMAL_USAGE_ERRORS = [
+    usage
+    for text in ("1_0", "+3", " 3", "\u0663")
+    for usage in (
+        ("bspline piece", ("--d", text, "--j", "0"), f"invalid integer value: {text!r}"),
+        ("bspline piece", ("--j", text, "--d", "3"), f"invalid integer value: {text!r}"),
+        ("geometry mc", ("--seed", text), f"invalid integer value: {text!r}"),
+        ("geometry sweep", ("--seeds", text), f"must be comma-separated integers, got {text!r}"),
+        ("geometry sweep", ("--seeds", f"{text},2"), f"must be comma-separated integers, got {text + ',2'!r}"),
+    )
+]
+
+
+def _assert_usage_error(capsys, argv, flag, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.endswith(f"error: argument {flag}: {message}\n")
+
+
 @pytest.mark.parametrize(
     "path, args, message",
     SWEEP_USAGE_ERRORS,
     ids=[f"{path.replace(' ', '-')}-args{i}" for i, (path, *_) in enumerate(SWEEP_USAGE_ERRORS)],
 )
 def test_empty_or_invalid_sweeps_are_usage_errors(capsys, path, args, message):
-    with pytest.raises(SystemExit) as exc:
-        main([*path.split(), *args])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert "Traceback" not in captured.err
-    assert captured.err.endswith(f"error: argument {args[0]}: {message}\n")
+    _assert_usage_error(capsys, [*path.split(), *args], args[0], message)
+
+
+@pytest.mark.parametrize(
+    "path, args, message",
+    NON_DECIMAL_USAGE_ERRORS,
+    ids=[f"{args[0]}={args[1]!r}" for _, args, _ in NON_DECIMAL_USAGE_ERRORS],
+)
+def test_integer_flags_refuse_non_decimal_text(capsys, path, args, message):
+    _assert_usage_error(capsys, [*path.split(), *args], args[0], message)
+
+
+def test_every_integer_flag_words_malformed_text_alike(capsys):
+    refusals = []
+    for args in (("--d", "x", "--j", "0"), ("--d", "3", "--j", "x")):
+        with pytest.raises(SystemExit):
+            main(["bspline", "piece", *args])
+        refusals.append(capsys.readouterr().err.splitlines()[-1])
+    assert refusals == [
+        f"splinecomb bspline piece: error: argument {flag}: invalid integer value: 'x'" for flag in ("--d", "--j")
+    ]
+
+
+def _actions(parser):
+    """Every action of a parser and of the subparsers below it."""
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                yield from _actions(subparser)
+
+
+def test_no_flag_parses_integers_with_bare_int():
+    # A flag with type=int would read "1_0", "+3" and " 3" as numbers.
+    actions = list(_actions(cli.build_parser()))
+    assert {"d", "j", "k", "scale", "seed", "seeds", "budget"} <= {action.dest for action in actions}
+    assert [action.option_strings for action in actions if action.type is int] == []
 
 
 def test_readme_cli_block_names_every_leaf():
@@ -578,6 +673,7 @@ def test_module_entry_point():
 
 
 _JUNK_RATIONALS = ("1.5", "abc", "", "1/", "/2", " 3", "0x10", "1e3", "--", "1/0", "2/-3")
+_JUNK_INTEGERS = ("1_0", "+3", " 3", "\u0663", "3\n", "1/1", "abc", "", "0x10", "1e3", "--")
 
 
 def _mostly(usual, rare):
@@ -594,6 +690,10 @@ def _rationals():
     return _mostly(well_formed, st.sampled_from(_JUNK_RATIONALS))
 
 
+def _integers(usual, out_of_range=st.integers(-2, 0)):
+    return _mostly(usual, st.one_of(out_of_range, st.sampled_from(_JUNK_INTEGERS)))
+
+
 def _flag_values(flag: str, options: dict):
     """Mostly values the flag accepts, so most argvs run their command;
     now and then one that is out of range or malformed."""
@@ -602,12 +702,12 @@ def _flag_values(flag: str, options: dict):
     if options.get("type") is parse_rational:
         return _rationals()
     if flag == "--seed":
-        return st.integers(-(2**70), 2**70)
+        return _integers(st.integers(-(2**70), 2**70), st.nothing())
     if flag == "--samples":
-        return _mostly(st.integers(1, 2000), st.integers(-2, 0))
+        return _integers(st.integers(1, 2000))
     if flag == "--budget":
-        return _mostly(st.integers(1, 10**4), st.integers(-2, 0))
-    return _mostly(st.integers(1, 6), st.integers(-2, 0))
+        return _integers(st.integers(1, 10**4))
+    return _integers(st.integers(1, 6))
 
 
 @st.composite

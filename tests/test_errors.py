@@ -7,7 +7,7 @@ import pytest
 
 from splinecomb import descent, eulerian, geometry, splinecore
 from splinecomb.errors import check_range, check_rational
-from splinecomb.polyring import Polynomial
+from splinecomb.polyring import Polynomial, interpolate
 
 
 def test_check_range_messages():
@@ -51,8 +51,17 @@ def test_an_argument_that_is_not_an_int_is_refused(call, what, value):
         (lambda: splinecore.bspline_integrate(3, "1/2", Fraction(5, 2)), "integration bound", "'1/2'"),
         (lambda: splinecore.bspline_integrate(3, 0, 2.5), "integration bound", "2.5"),
         (lambda: geometry.SliceSpec(d=2, scale=1, lower=True, upper=Fraction(1)), "slab bound", "True"),
+        (lambda: Polynomial([1, 2])(0.5), "evaluation point", "0.5"),
+        (lambda: Polynomial([0.1]), "polynomial coefficient", "0.1"),
+        (lambda: Polynomial(["1/2"]), "polynomial coefficient", "'1/2'"),
+        (lambda: Polynomial([True]), "polynomial coefficient", "True"),
+        (lambda: interpolate([0.5, 1]), "interpolation value", "0.5"),
     ],
-    ids=["bool", "explicit float", "recurrence str", "integrate str", "integrate float", "SliceSpec bool bound"],
+    ids=[
+        "bool", "explicit float", "recurrence str", "integrate str", "integrate float", "SliceSpec bool bound",
+        "Polynomial float point", "Polynomial float coefficient", "Polynomial str coefficient",
+        "Polynomial bool coefficient", "interpolate float value",
+    ],
 )
 def test_an_argument_that_is_not_an_int_or_a_fraction_is_refused(call, what, value):
     # A float would give the exact value of its binary expansion.
