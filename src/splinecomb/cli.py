@@ -1,11 +1,13 @@
 """Command-line interface.
 
 One executable with subcommand groups for spline evaluation, table
-generation, volume experiments, and identity verification.  Integer
-flags take decimal text "p" (`_integer`), rational flags "p" or "p/q",
-and the sweep leaves' flags reach `VerifyConfig` through `_config` alone.
+generation, volume experiments, and identity verification.  Every number
+flag reads the one number grammar, `numcore.parse_rational`: rational flags
+(`_rational`) take "p" or "p/q", integer flags (`_integer`) "p" alone.
+The sweep leaves' flags reach `VerifyConfig` through `_config` alone.
 Every number is emitted as a canonical "p/q" or integer string, never
 floating point, and identical argument vectors produce byte-identical output.
+`_DESCRIPTION` tells users the same in `--help`.
 
 Exit codes: 0 success, 1 verification failure (report still emitted in
 full), 2 usage error, argument outside the library's domain, or
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -29,15 +30,25 @@ from .numcore import factorial, format_rational, parse_rational
 from .verify import VerifyConfig, VerifyReport
 
 
+def _rational() -> Callable[[str], Fraction]:
+    """The argparse type of every rational flag: `parse_rational`, under the
+    name argparse words its ValueError with, "invalid rational value"."""
+
+    def rational(text: str) -> Fraction:
+        return parse_rational(text)
+
+    return rational
+
+
 def _integer(lo: int | None = None) -> Callable[[str], int]:
-    """The argparse type of every integer flag: decimal text "p", as in the
-    rational wire format, that is >= lo when lo is given.  argparse words a
+    """The argparse type of every integer flag: `parse_rational`'s text "p"
+    without "/q", that is >= lo when lo is given.  argparse words a
     ValueError "invalid integer value" and prints an ArgumentTypeError's text."""
 
     def integer(text: str) -> int:
-        if not re.fullmatch(r"-?[0-9]+", text):
+        if "/" in text:
             raise ValueError(text)
-        value = int(text)
+        value = parse_rational(text).numerator
         if lo is not None and value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
         return value
@@ -45,6 +56,7 @@ def _integer(lo: int | None = None) -> Callable[[str], int]:
     return integer
 
 
+_RATIONAL = _rational()
 _INTEGER = _integer()
 _POSITIVE = _integer(1)
 
@@ -225,6 +237,15 @@ def _volume(est: geometry.VolumeEstimate) -> tuple[list, dict]:
     return fields, dict(fields)
 
 
+_DESCRIPTION = """\
+Exact cardinal B-spline values, Eulerian numbers, descent tables and slab
+volumes, each computed by several independent routes.  Integer arguments
+take decimal text p, rational arguments p or p/q.  Every number is printed
+as an integer or a reduced p/q, never in floating point, as csv (the
+default) or json (--format json).  Exit codes: 0 success, 1 verification
+failure (the report is still printed in full), 2 usage error, an argument
+outside the library's domain, or an enumeration over its --budget."""
+
 _GROUPS = {
     "bspline": "exact cardinal B-spline operations",
     "eulerian": "Eulerian numbers and refinements",
@@ -239,7 +260,7 @@ def _leaves() -> dict[str, _Leaf]:
     return {
         "bspline eval": _Leaf(
             "evaluate the order-d spline",
-            (_D, _required("--x", parse_rational), _route(splinecore.EVAL_ROUTES)),
+            (_D, _required("--x", _RATIONAL), _route(splinecore.EVAL_ROUTES)),
             lambda a: splinecore.EVAL_ROUTES[a.route](a.d, a.x),
             _scalar,
             ("d", "x", "route"),
@@ -253,7 +274,7 @@ def _leaves() -> dict[str, _Leaf]:
         ),
         "bspline integrate": _Leaf(
             "exact integral over [a, b]",
-            (_D, _required("--a", parse_rational), _required("--b", parse_rational)),
+            (_D, _required("--a", _RATIONAL), _required("--b", _RATIONAL)),
             lambda a: splinecore.bspline_integrate(a.d, a.a, a.b),
             _scalar,
             ("d", "a", "b"),
@@ -317,8 +338,8 @@ def _leaves() -> dict[str, _Leaf]:
             (
                 _D,
                 _required("--scale"),
-                _required("--lower", parse_rational),
-                _required("--upper", parse_rational),
+                _required("--lower", _RATIONAL),
+                _required("--upper", _RATIONAL),
                 _required("--samples", _POSITIVE),
                 _required("--seed"),
             ),
@@ -362,7 +383,7 @@ def _leaves() -> dict[str, _Leaf]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    parser = argparse.ArgumentParser(prog="splinecomb", description=__doc__)
+    parser = argparse.ArgumentParser(prog="splinecomb", description=_DESCRIPTION)
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for path, leaf in _leaves().items():

@@ -54,6 +54,7 @@ def _check_args(d: int, n: int) -> None:
 def descent_spline(d: int, n: int, k: int) -> int:
     """DT(d, n, k) as d! * n^d * B_{d+1}(k + 1/n); 0 for k outside 0..d."""
     _check_args(d, n)
+    check_range("descent count k", k)
     value = factorial(d) * n**d * bspline_eval_explicit(d + 1, k + Fraction(1, n))
     return _as_int(value, f"descent_spline({d}, {n}, {k})")
 

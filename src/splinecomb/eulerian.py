@@ -182,6 +182,7 @@ def _as_int(value: Fraction, context: str) -> int:
 def eulerian_spline(d: int, k: int) -> int:
     """A(d, k) as d! * B_{d+1}(k); 0 for k outside 1..d."""
     check_range("dimension", d, 1)
+    check_range("Eulerian index k", k)
     value = factorial(d) * bspline_eval_explicit(d + 1, k)
     return _as_int(value, f"eulerian_spline({d}, {k})")
 

@@ -199,10 +199,12 @@ def mc_volumes(specs, samples: int, seed: int) -> tuple[VolumeEstimate, ...]:
     so the stream is drawn once, for the largest d, and every slab is
     counted from its d's prefix.  The estimate is d! * scale^d * hits /
     samples; the standard error is the binomial one of the estimate,
-    rounded outward to a rational.
+    rounded outward to a rational.  `samples` must be an int >= 1 and
+    `seed` an int (any sign; the generator runs from it mod 2^64).
     Acceptance against an exact volume uses mc_band, not this error.
     """
     check_range("sample count", samples, 1)
+    check_range("seed", seed)
     specs = tuple(specs)
     ranges: dict[int, list[tuple[int, int]]] = {}
     for spec in specs:
@@ -236,9 +238,12 @@ def mc_band(spec: SliceSpec, exact: int, samples: int) -> Fraction:
     `samples`-point estimate of the exact slab probability,
     sqrt(exact * (norm - exact) / samples) with norm = d! * scale^d,
     rounded outward.  Taken from the exact value rather than from the
-    estimate, the band is not 0 when a slab gets no hits.
+    estimate, the band is not 0 when a slab gets no hits.  `exact` must be
+    an int in 0..norm and `samples` an int >= 1.
     """
     norm = factorial(spec.d) * spec.scale**spec.d
+    check_range("exact volume", exact, 0, norm)
+    check_range("sample count", samples, 1)
     return 4 * _sqrt_upper_bound(Fraction(exact * (norm - exact), samples))
 
 

@@ -4,6 +4,8 @@ Everything here is arbitrary-precision and exact: scalars are
 ``fractions.Fraction`` values (canonical ``p/q`` with ``q > 0`` and
 ``gcd(|p|, q) = 1``), counts are plain Python ints.  No floating point
 enters any code path in this module, and all functions are pure.
+`parse_rational` holds the package's one number grammar, the wire format
+"p" or "p/q", which the CLI's integer and rational flags both read.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def binomial(n: int, k: int) -> int:
@@ -30,9 +32,10 @@ def factorial(n: int) -> int:
 def parse_rational(text: str) -> Fraction:
     """Parse the wire format "p" or "p/q" (decimal big integers, q > 0).
 
-    Rejects anything else, including decimal points and whitespace.
+    The whole text must match: anything else is refused with ValueError,
+    including decimal points and whitespace, a trailing newline too.
     """
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     try:
         return Fraction(text)

@@ -16,7 +16,7 @@ a Fraction (`errors.check_rational`), so no float or string gets in.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import check_range, check_rational
 from .numcore import format_rational
@@ -146,20 +146,20 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
-def interpolate(values: Sequence[Fraction | int]) -> Polynomial:
+def interpolate(values: Iterable[Fraction | int]) -> Polynomial:
     """The polynomial of degree < len(values) through (m, values[m]) for
-    m = 0..len(values)-1, exactly.
+    m = 0..len(values)-1, exactly; `values` may be any iterable, read once.
 
     Newton's forward form sum_j D^j v_0 t(t-1)...(t-j+1)/j!, from forward
     differences taken in place and expanded by Horner's rule over a
     coefficient list scaled by (n-1)!, so int values stay ints until the
     one division at the end.
     """
-    if not values:
-        raise ValueError("need at least one value")
-    for value in values:
-        check_rational("interpolation value", value)
     diffs = list(values)
+    if not diffs:
+        raise ValueError("need at least one value")
+    for value in diffs:
+        check_rational("interpolation value", value)
     n = len(diffs)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):

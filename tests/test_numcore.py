@@ -61,7 +61,7 @@ def test_rational_text_round_trip(x):
     assert parse_rational(format_rational(x)) == x
 
 
-@pytest.mark.parametrize("bad", ["1.5", "3/2/5", "", "a/b", " 1", "1/-2", "3/0"])
+@pytest.mark.parametrize("bad", ["1.5", "3/2/5", "", "a/b", " 1", "1/-2", "3/0", "3/2\n", "3\n"])
 def test_parse_rational_rejects_non_canonical(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -99,11 +99,14 @@ def test_interpolate_examples():
     assert interpolate([1, 2]) == Polynomial([1, 1])
     assert interpolate([Fraction(5, 3)]) == Polynomial([Fraction(5, 3)])
     assert interpolate([1, 4, 9]) == Polynomial([1, 2, 1])
+    assert interpolate(iter([1, 2])) == Polynomial([1, 1])  # an iterator is read once
 
 
 def test_interpolate_empty():
     with pytest.raises(ValueError):
         interpolate([])
+    with pytest.raises(ValueError, match="need at least one value"):
+        interpolate(iter([]))
 
 
 def test_coefficient_strings():
