@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import descent, eulerian, geometry, splinecore
-from .errors import DEFAULT_ENUMERATION_BUDGET, TooLarge
+from .errors import DEFAULT_ENUMERATION_BUDGET, TooLarge, check_range
 from .numcore import binomial, factorial, format_rational
 
 
@@ -31,7 +31,9 @@ class VerifyConfig:
     (medians 0.18, 0.19 and 0.16 s in three sets of seven warm runs,
     0.15-0.20 s overall, Python 3.11.7 and numpy 2.4.6 on a shared 2-vCPU
     Linux host); raise them for deeper sweeps.  mc_samples applies per
-    (slice, seed) pair.
+    (slice, seed) pair.  Every field is an int (not a bool) through
+    errors.check_range, and mc_seeds a tuple of ints: the bounds, the budget
+    and the sample counts are >= 0 (mc_samples >= 1), the seeds unbounded.
     """
 
     d_max: int = 6
@@ -42,6 +44,19 @@ class VerifyConfig:
     mc_dilated_d_max: int = 4
     sample_points: int = 40
     sample_seed: int = 987654321
+
+    def __post_init__(self):
+        check_range("d_max", self.d_max, 0)
+        check_range("n_max", self.n_max, 0)
+        check_range("enumeration budget", self.budget, 0)
+        check_range("mc_samples", self.mc_samples, 1)
+        if type(self.mc_seeds) is not tuple:
+            raise ValueError(f"mc_seeds must be a tuple, got {self.mc_seeds!r}")
+        for seed in self.mc_seeds:
+            check_range("Monte Carlo seed", seed)
+        check_range("mc_dilated_d_max", self.mc_dilated_d_max, 0)
+        check_range("sample_points", self.sample_points, 0)
+        check_range("sample_seed", self.sample_seed)
 
 
 @dataclass(frozen=True)

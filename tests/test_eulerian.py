@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinecomb import eulerian
-from splinecomb.descent import indexed_bruteforce
+from splinecomb.descent import descent_table, indexed_bruteforce
 from splinecomb.errors import TooLarge
 from splinecomb.eulerian import (
     eulerian_bruteforce,
@@ -22,6 +22,7 @@ from splinecomb.eulerian import (
     refined_triangle,
 )
 from splinecomb.numcore import factorial
+from splinecomb.polyring import Polynomial
 from splinecomb.verify import _two_scale_sum
 
 # Frozen from exhaustive descent counting over S_d.
@@ -229,6 +230,37 @@ def test_lambda_route_extracts_every_entry(monkeypatch):
         calls.clear()
         refined_triangle(d, "lambda")
         assert len(calls) == (d + 1) ** 2
+
+
+# Every Polynomial operation that does coefficient arithmetic.
+POLYNOMIAL_ARITHMETIC = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__pow__", "__call__", "antiderivative")
+
+
+def test_reference_routes_run_without_polynomial_arithmetic(monkeypatch):
+    # The packed-integer product and power belong to the lambda route alone,
+    # so a fault in them splits it from the explicit route it is checked
+    # against, and from every descent table.
+    dims = (1, 2, 5, 9)
+    triangles = [refined_triangle(d, "explicit").values for d in dims]
+    entries = [[[refined_explicit(d, k, j) for j in range(d + 1)] for k in range(d + 1)] for d in dims]
+    table_routes = ("spline", "explicit", "recurrence", "refined")
+    cases = [(d, n) for d in dims for n in (1, 3)]
+    tables = {route: [descent_table(d, n, route).values for d, n in cases] for route in table_routes}
+
+    def raising(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"Polynomial.{name} was called")
+
+        return fail
+
+    for name in POLYNOMIAL_ARITHMETIC:
+        monkeypatch.setattr(Polynomial, name, raising(name))
+    with pytest.raises(AssertionError, match="was called"):
+        Polynomial([1, 1]) ** 2
+    assert [refined_triangle(d, "explicit").values for d in dims] == triangles
+    assert [[[refined_explicit(d, k, j) for j in range(d + 1)] for k in range(d + 1)] for d in dims] == entries
+    for route in table_routes:
+        assert [descent_table(d, n, route).values for d, n in cases] == tables[route]
 
 
 @pytest.mark.parametrize("d", range(1, 8))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splinecomb.numcore import binomial
@@ -144,12 +144,73 @@ def test_evaluation_is_a_homomorphism(p, x, y):
     assert (p * q)(x) == p(x) * q(x)
 
 
-def test_pow_does_not_square_past_the_last_bit(monkeypatch):
-    products = []
-    mul = Polynomial.__mul__
-    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b))
-    Polynomial([1, 1]) ** 14  # 0b1110: three multiplies into the result, three squarings
-    assert len(products) == 6
+def schoolbook_product(p, q):
+    """p * q by the double loop over coefficient pairs: the reference for
+    the packed-integer product."""
+    prod = [0] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            prod[i + j] += a * b
+    return Polynomial(prod)
+
+
+def schoolbook_power(p, e):
+    """p ** e by e schoolbook products."""
+    result = Polynomial([1])
+    for _ in range(e):
+        result = schoolbook_product(result, p)
+    return result
+
+
+# Coefficients at a slot's edge: +-(2^b - 1) and +-2^b.
+edge_st = st.integers(0, 70).flatmap(lambda b: st.sampled_from([2**b - 1, 2**b, 1 - 2**b, -(2**b)]))
+kernel_coeff_st = st.one_of(
+    st.integers(-50, 50),
+    edge_st,
+    st.fractions(max_denominator=50),
+    st.builds(Fraction, edge_st, st.sampled_from([3, 2**40])),
+)
+
+
+@st.composite
+def kernel_polys(draw, max_size):
+    """Polynomials with zero, negative, Fraction and slot-edge coefficients;
+    some with alternating signs, whose products borrow between digits."""
+    cs = draw(st.lists(kernel_coeff_st, max_size=max_size))
+    if draw(st.booleans()):
+        cs = [-abs(c) if i & 1 else abs(c) for i, c in enumerate(cs)]
+    return Polynomial(cs)
+
+
+# A coefficient of norm a bound's power of two needs the slot's top bit,
+# and a slot one bit too narrow misreads it.
+EDGE_POLYS = [Polynomial(cs) for cs in ([2**31], [-(2**31)], [2**31 - 1, 1], [1, -1], [0, 2**8, -(2**8)])]
+
+
+@example(Polynomial(), Polynomial([1, 1]))
+@example(Polynomial([2**31]), Polynomial([-(2**31)]))
+@example(Polynomial([1, -1, 1, -1]), Polynomial([1, 1, 1, 1]))
+@given(kernel_polys(9), kernel_polys(9))
+def test_products_match_the_schoolbook_reference(p, q):
+    assert p * q == schoolbook_product(p, q)
+    _assert_canonical(p * q)
+
+
+@pytest.mark.parametrize("p", EDGE_POLYS)
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 14, 40])
+def test_edge_powers_match_the_schoolbook_reference(p, e):
+    assert p**e == schoolbook_power(p, e)
+    assert p * p == schoolbook_product(p, p)
+
+
+@settings(deadline=None)
+@example(Polynomial(), 0)
+@example(Polynomial(), 3)
+@example(Polynomial([Fraction(-1, 3), 1]), 40)
+@given(kernel_polys(4), st.integers(0, 40))
+def test_powers_match_the_schoolbook_reference(p, e):
+    assert p**e == schoolbook_power(p, e)
+    _assert_canonical(p**e)
 
 
 @given(mixed_coeffs_st, st.fractions(max_denominator=30), st.integers(0, 12))

@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import pytest
+
 from splinecomb import descent, eulerian, geometry, splinecore
 from splinecomb.errors import TooLarge
 from splinecomb.verify import (
@@ -50,6 +52,37 @@ def test_report_invariant():
     report = VerifyReport(suite="s", cases_run=3, failures=())
     assert report.cases_failed == len(report.failures) <= report.cases_run
     assert report.ok
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("d_max", 2.5, "d_max must be an int, got 2.5"),
+        ("d_max", True, "d_max must be an int, got True"),
+        ("d_max", -1, "d_max must be >= 0, got -1"),
+        ("n_max", 1.5, "n_max must be an int, got 1.5"),
+        ("n_max", -1, "n_max must be >= 0, got -1"),
+        ("budget", -1, "enumeration budget must be >= 0, got -1"),
+        ("budget", Fraction(7), "enumeration budget must be an int"),
+        ("mc_samples", 0, "mc_samples must be >= 1, got 0"),
+        ("mc_samples", 100.0, "mc_samples must be an int, got 100.0"),
+        ("mc_seeds", [5, 6], "mc_seeds must be a tuple, got \\[5, 6\\]"),
+        ("mc_seeds", (5, "6"), "Monte Carlo seed must be an int, got '6'"),
+        ("mc_seeds", (5, False), "Monte Carlo seed must be an int, got False"),
+        ("mc_dilated_d_max", -1, "mc_dilated_d_max must be >= 0, got -1"),
+        ("sample_points", 2.5, "sample_points must be an int, got 2.5"),
+        ("sample_points", -1, "sample_points must be >= 0, got -1"),
+        ("sample_seed", 1.0, "sample_seed must be an int, got 1.0"),
+    ],
+)
+def test_config_refuses_a_field_that_is_not_an_int_in_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        VerifyConfig(**{field: value})
+
+
+def test_config_accepts_the_edges_in_use():
+    edges = VerifyConfig(d_max=0, n_max=0, budget=0, mc_samples=1, mc_seeds=(5, -6), mc_dilated_d_max=0, sample_points=0)
+    assert edges.mc_seeds == (5, -6) and VerifyConfig(budget=1, mc_seeds=(), sample_seed=-3).budget == 1
 
 
 def test_a_suite_that_ran_no_case_is_not_a_pass():
