@@ -5,6 +5,9 @@ generation, volume experiments, and identity verification.  Every number
 flag reads the one number grammar, `numcore.parse_rational`: rational flags
 (`_rational`) take "p" or "p/q", integer flags (`_integer`) "p" alone.
 The sweep leaves' flags reach `VerifyConfig` through `_config` alone.
+A call imports only what its leaf needs: the leaves are declared one by
+one, and `build_parser(argv)` declares only those argv can reach, so the
+modules a leaf computes with are imported when it is declared.
 Every number is emitted as a canonical "p/q" or integer string, never
 floating point, and identical argument vectors produce byte-identical output.
 `_DESCRIPTION` tells users the same in `--help`.
@@ -17,17 +20,22 @@ enumeration budget violation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import descent, eulerian, geometry, splinecore, verify
+# Every leaf loads splinecore, and with it polyring.
+from . import splinecore
 from .errors import DEFAULT_ENUMERATION_BUDGET, SplinecombError
 from .numcore import factorial, format_rational, parse_rational
-from .verify import VerifyConfig, VerifyReport
+
+if TYPE_CHECKING:
+    from .descent import DescentTable
+    from .eulerian import EulerianRow, RefinedTriangle
+    from .geometry import VolumeEstimate
+    from .verify import VerifyConfig, VerifyReport
 
 
 def _rational() -> Callable[[str], Fraction]:
@@ -80,14 +88,6 @@ def _route(routes: dict) -> tuple[str, dict]:
 
 _D = _required("--d", _POSITIVE)
 _N = _required("--n", _POSITIVE)
-_D_MAX = ("--d-max", {"type": _POSITIVE, "default": VerifyConfig.d_max})
-_DILATED_D_MAX = ("--dilated-d-max", {"type": _POSITIVE, "default": VerifyConfig.mc_dilated_d_max})
-_N_MAX = ("--n-max", {"type": _POSITIVE, "default": VerifyConfig.n_max})
-_SAMPLES = (
-    "--samples",
-    {"type": _POSITIVE, "default": VerifyConfig.mc_samples, "help": "Monte Carlo samples per slice/seed"},
-)
-_SEEDS = ("--seeds", {"type": _seed_list, "default": VerifyConfig.mc_seeds, "help": "comma-separated seed list"})
 # Only the leaves that may enumerate take a budget.
 _BUDGET = (
     "--budget",
@@ -102,24 +102,49 @@ _BUDGET = (
 # The sweep flags whose dest differs from the VerifyConfig field they set.
 _CONFIG_ALIASES = {"samples": "mc_samples", "seeds": "mc_seeds", "dilated_d_max": "mc_dilated_d_max"}
 
+# The sweep leaves' own flags, but for their defaults (see `_sweep_flags`).
+_SWEEP_FLAGS = {
+    "--d-max": {"type": _POSITIVE},
+    "--dilated-d-max": {"type": _POSITIVE},
+    "--n-max": {"type": _POSITIVE},
+    "--samples": {"type": _POSITIVE, "help": "Monte Carlo samples per slice/seed"},
+    "--seeds": {"type": _seed_list, "help": "comma-separated seed list"},
+}
+
+
+def _sweep_flags(*flags: str) -> tuple[tuple[str, dict], ...]:
+    """Sweep flags, each defaulting to the VerifyConfig field it sets."""
+    from .verify import VerifyConfig
+
+    return tuple(
+        (flag, {**_SWEEP_FLAGS[flag], "default": getattr(VerifyConfig, _field(flag[2:].replace("-", "_")))})
+        for flag in flags
+    )
+
+
+def _field(dest: str) -> str:
+    return _CONFIG_ALIASES.get(dest, dest)
+
 
 def _config(args) -> VerifyConfig:
     """The VerifyConfig a sweep leaf's flags set: a flag sets the field its
     dest names or its alias maps to; a field without a flag keeps its default."""
-    flags = {_CONFIG_ALIASES.get(dest, dest): value for dest, value in vars(args).items()}
+    from .verify import VerifyConfig
+
+    flags = {_field(dest): value for dest, value in vars(args).items()}
     return VerifyConfig(**{f.name: flags[f.name] for f in fields(VerifyConfig) if f.name in flags})
 
 
 @dataclass(frozen=True)
 class _Leaf:
     """One leaf command: its arguments, what it computes, how it prints.
+    Its help line is registered with its declaration (`_declare`).
 
     render maps the result to (csv rows, json fields); the json payload is
     the echoed arguments followed by those fields.  A leaf with a verdict
     exits 1 when the verdict finds the result failed, after printing it.
     """
 
-    help: str
     arguments: tuple[tuple[str, dict], ...]
     compute: Callable
     render: Callable
@@ -137,18 +162,20 @@ def _coefficients(poly) -> tuple[list, dict]:
     return [tuple(coeffs)], {"coefficients": coeffs}
 
 
-def _eulerian_row(row: eulerian.EulerianRow) -> tuple[list, dict]:
+def _eulerian_row(row: EulerianRow) -> tuple[list, dict]:
     rows = list(enumerate(row.values, 1))
     return rows, {"values": [str(v) for v in row.values]}
 
 
-def _refined(triangle: eulerian.RefinedTriangle) -> tuple[list, dict]:
+def _refined(triangle: RefinedTriangle) -> tuple[list, dict]:
     d = triangle.d
     rows = [(k, j, triangle.values[k][j]) for k in range(d + 1) for j in range(d + 1)]
     return rows, {"values": [[str(v) for v in row] for row in triangle.values]}
 
 
-def _descent_table(table: descent.DescentTable) -> tuple[list, dict]:
+def _descent_table(table: DescentTable) -> tuple[list, dict]:
+    from . import descent
+
     rows = [(k, table.values[k]) for k in range(table.d + 1)]
     conservation = sum(table.values) == table.n**table.d * factorial(table.d)
     log_concave = all(m >= 0 for m in descent.log_concavity_verdict(table))
@@ -161,9 +188,11 @@ def _records(header: tuple, rows: list[tuple], key: str) -> tuple[list, dict]:
     return [header, *rows], {key: [dict(zip(header, row)) for row in rows]}
 
 
-def _margins(tables: list[descent.DescentTable]) -> tuple[list, dict]:
+def _margins(tables: list[DescentTable]) -> tuple[list, dict]:
     """Per table, its least interior log-concavity margin
     v_k^2 - v_{k-1} v_{k+1} and the least margin over v_k^2, exactly."""
+    from . import descent
+
     rows = []
     for table in tables:
         margins = descent.log_concavity_verdict(table)
@@ -191,6 +220,8 @@ def _sweep(pairs: list[tuple]) -> tuple[list, dict]:
 def _sweep_passes(pairs: list[tuple]) -> bool:
     """The sweep's verdict.  Its excursion count goes to stderr, so stdout
     holds the table alone."""
+    from . import verify
+
     excursions = sum(not inside for *_, inside in pairs)
     print(f"# excursions: {excursions}", file=sys.stderr)
     return verify.mc_sweep_passes(excursions)
@@ -226,7 +257,7 @@ def _all_ok(reports: list[VerifyReport]) -> bool:
     return all(rep.ok for rep in reports)
 
 
-def _volume(est: geometry.VolumeEstimate) -> tuple[list, dict]:
+def _volume(est: VolumeEstimate) -> tuple[list, dict]:
     fields = [
         ("estimate", format_rational(est.estimate)),
         ("standard_error", format_rational(est.standard_error)),
@@ -254,139 +285,209 @@ _GROUPS = {
 }
 
 
-def _leaves() -> dict[str, _Leaf]:
-    """The leaf commands by path.  Built with the parser, so argument types
-    and route tables are looked up when the CLI runs, not at import."""
+# Every leaf command by path: its help line and the function that declares it.
+_DECLARED: dict[str, tuple[str, Callable[[], _Leaf]]] = {}
+
+
+def _declare(path: str, help: str):
+    """Registers the decorated function as the declaration of the leaf at
+    path.  It runs, and imports the modules its leaf computes with, only
+    when the leaf is built, so a call pays for its own leaf alone."""
+
+    def register(declaration: Callable[[], _Leaf]) -> Callable[[], _Leaf]:
+        _DECLARED[path] = help, declaration
+        return declaration
+
+    return register
+
+
+@_declare("bspline eval", "evaluate the order-d spline")
+def _bspline_eval_leaf() -> _Leaf:
+    return _Leaf(
+        (_D, _required("--x", _RATIONAL), _route(splinecore.EVAL_ROUTES)),
+        lambda a: splinecore.EVAL_ROUTES[a.route](a.d, a.x),
+        _scalar,
+        ("d", "x", "route"),
+    )
+
+
+@_declare("bspline piece", "polynomial piece on [j, j+1)")
+def _bspline_piece_leaf() -> _Leaf:
+    return _Leaf((_D, _required("--j")), lambda a: splinecore.bspline_piece(a.d, a.j).poly, _coefficients, ("d", "j"))
+
+
+@_declare("bspline integrate", "exact integral over [a, b]")
+def _bspline_integrate_leaf() -> _Leaf:
+    return _Leaf(
+        (_D, _required("--a", _RATIONAL), _required("--b", _RATIONAL)),
+        lambda a: splinecore.bspline_integrate(a.d, a.a, a.b),
+        _scalar,
+        ("d", "a", "b"),
+    )
+
+
+@_declare("eulerian row", "row of Eulerian numbers")
+def _eulerian_row_leaf() -> _Leaf:
+    from . import eulerian
+
+    return _Leaf(
+        (_D, _route(eulerian.ROW_ROUTES), _BUDGET),
+        lambda a: eulerian.ROW_ROUTES[a.route](a.d, a.budget),
+        _eulerian_row,
+        ("d", "route"),
+    )
+
+
+@_declare("eulerian refined", "refined triangle for S_{d+1}")
+def _eulerian_refined_leaf() -> _Leaf:
+    from . import eulerian
+
+    return _Leaf(
+        (_D, _route(eulerian.REFINED_ROUTES), _BUDGET),
+        lambda a: eulerian.refined_triangle(a.d, a.route, a.budget),
+        _refined,
+        ("d", "route"),
+    )
+
+
+@_declare("eulerian verify", "Eulerian identity suite")
+def _eulerian_verify_leaf() -> _Leaf:
+    from . import verify
+
+    return _Leaf(
+        (*_sweep_flags("--d-max"), _BUDGET),
+        lambda a: [verify.verify_eulerian(_config(a))],
+        _reports,
+        verdict=_all_ok,
+    )
+
+
+@_declare("descent table", "descent histogram for (d, n)")
+def _descent_table_leaf() -> _Leaf:
+    from . import descent
+
+    return _Leaf(
+        (_D, _N, _route(descent.TABLE_ROUTES), _BUDGET),
+        lambda a: descent.descent_table(a.d, a.n, a.route, budget=a.budget),
+        _descent_table,
+        ("d", "n", "route"),
+    )
+
+
+@_declare("descent poly", "descent generating polynomial")
+def _descent_poly_leaf() -> _Leaf:
+    from . import descent
+
+    return _Leaf((_D, _N), lambda a: descent.descent_table(a.d, a.n, "spline").polynomial, _coefficients, ("d", "n"))
+
+
+@_declare("descent verify", "descent identity suite")
+def _descent_verify_leaf() -> _Leaf:
+    from . import verify
+
+    return _Leaf(
+        (*_sweep_flags("--d-max", "--n-max"), _BUDGET),
+        lambda a: [verify.verify_descent(_config(a))],
+        _reports,
+        verdict=_all_ok,
+    )
+
+
+@_declare("descent margins", "log-concavity margins of the descent tables")
+def _descent_margins_leaf() -> _Leaf:
+    from . import descent
+
+    return _Leaf(
+        # d = 1 has no interior margin, so the sweep starts at d = 2.
+        (("--d-max", {"type": _integer(2), "default": 10}), ("--n-max", {"type": _POSITIVE, "default": 4})),
+        lambda a: [
+            descent.descent_table(d, n, "spline") for d in range(2, a.d_max + 1) for n in range(1, a.n_max + 1)
+        ],
+        _margins,
+        ("d_max", "n_max"),
+    )
+
+
+@_declare("geometry mc", "Monte Carlo slab volume")
+def _geometry_mc_leaf() -> _Leaf:
+    from . import geometry
+
+    return _Leaf(
+        (
+            _D,
+            _required("--scale"),
+            _required("--lower", _RATIONAL),
+            _required("--upper", _RATIONAL),
+            _required("--samples", _POSITIVE),
+            _required("--seed"),
+        ),
+        lambda a: geometry.mc_volume(
+            geometry.SliceSpec(d=a.d, scale=a.scale, lower=a.lower, upper=a.upper), a.samples, a.seed
+        ),
+        _volume,
+        ("d", "scale", "lower", "upper"),
+    )
+
+
+@_declare("geometry minkowski", "Minkowski volume polynomial")
+def _geometry_minkowski_leaf() -> _Leaf:
+    from . import geometry
+
+    return _Leaf((_D, _required("--k")), lambda a: geometry.minkowski_poly(a.d, a.k), _coefficients, ("d", "k"))
+
+
+@_declare("geometry sweep", "Monte Carlo estimates vs exact slab volumes")
+def _geometry_sweep_leaf() -> _Leaf:
+    from . import verify
+
+    return _Leaf(
+        _sweep_flags("--d-max", "--dilated-d-max", "--n-max", "--samples", "--seeds"),
+        lambda a: list(verify.mc_pairs(_config(a))),
+        _sweep,
+        ("d_max", "dilated_d_max", "n_max", "samples", "seeds"),
+        _sweep_passes,
+    )
+
+
+@_declare("verify", "run verification suites")
+def _verify_leaf() -> _Leaf:
+    from . import verify
+
+    return _Leaf(
+        (
+            ("--all", {"action": "store_true", "required": True, "help": "run every suite"}),
+            *_sweep_flags("--d-max", "--n-max", "--samples"),
+            _BUDGET,
+        ),
+        lambda a: verify.verify_all(_config(a)),
+        _reports,
+        verdict=_all_ok,
+    )
+
+
+def _leaves(argv: Sequence[str] | None = None) -> dict[str, _Leaf]:
+    """The leaf commands by path: every one, or those that argv can reach.
+    argparse takes a command name only whole, so argv reaches no leaf but
+    those whose path words all appear in it."""
+    words = None if argv is None else set(argv)
     return {
-        "bspline eval": _Leaf(
-            "evaluate the order-d spline",
-            (_D, _required("--x", _RATIONAL), _route(splinecore.EVAL_ROUTES)),
-            lambda a: splinecore.EVAL_ROUTES[a.route](a.d, a.x),
-            _scalar,
-            ("d", "x", "route"),
-        ),
-        "bspline piece": _Leaf(
-            "polynomial piece on [j, j+1)",
-            (_D, _required("--j")),
-            lambda a: splinecore.bspline_piece(a.d, a.j).poly,
-            _coefficients,
-            ("d", "j"),
-        ),
-        "bspline integrate": _Leaf(
-            "exact integral over [a, b]",
-            (_D, _required("--a", _RATIONAL), _required("--b", _RATIONAL)),
-            lambda a: splinecore.bspline_integrate(a.d, a.a, a.b),
-            _scalar,
-            ("d", "a", "b"),
-        ),
-        "eulerian row": _Leaf(
-            "row of Eulerian numbers",
-            (_D, _route(eulerian.ROW_ROUTES), _BUDGET),
-            lambda a: eulerian.ROW_ROUTES[a.route](a.d, a.budget),
-            _eulerian_row,
-            ("d", "route"),
-        ),
-        "eulerian refined": _Leaf(
-            "refined triangle for S_{d+1}",
-            (_D, _route(eulerian.REFINED_ROUTES), _BUDGET),
-            lambda a: eulerian.refined_triangle(a.d, a.route, a.budget),
-            _refined,
-            ("d", "route"),
-        ),
-        "eulerian verify": _Leaf(
-            "Eulerian identity suite",
-            (_D_MAX, _BUDGET),
-            lambda a: [verify.verify_eulerian(_config(a))],
-            _reports,
-            verdict=_all_ok,
-        ),
-        "descent table": _Leaf(
-            "descent histogram for (d, n)",
-            (_D, _N, _route(descent.TABLE_ROUTES), _BUDGET),
-            lambda a: descent.descent_table(a.d, a.n, a.route, budget=a.budget),
-            _descent_table,
-            ("d", "n", "route"),
-        ),
-        "descent poly": _Leaf(
-            "descent generating polynomial",
-            (_D, _N),
-            lambda a: descent.descent_table(a.d, a.n, "spline").polynomial,
-            _coefficients,
-            ("d", "n"),
-        ),
-        "descent verify": _Leaf(
-            "descent identity suite",
-            (_D_MAX, _N_MAX, _BUDGET),
-            lambda a: [verify.verify_descent(_config(a))],
-            _reports,
-            verdict=_all_ok,
-        ),
-        "descent margins": _Leaf(
-            "log-concavity margins of the descent tables",
-            # d = 1 has no interior margin, so the sweep starts at d = 2.
-            (("--d-max", {"type": _integer(2), "default": 10}), ("--n-max", {"type": _POSITIVE, "default": 4})),
-            lambda a: [
-                descent.descent_table(d, n, "spline")
-                for d in range(2, a.d_max + 1)
-                for n in range(1, a.n_max + 1)
-            ],
-            _margins,
-            ("d_max", "n_max"),
-        ),
-        "geometry mc": _Leaf(
-            "Monte Carlo slab volume",
-            (
-                _D,
-                _required("--scale"),
-                _required("--lower", _RATIONAL),
-                _required("--upper", _RATIONAL),
-                _required("--samples", _POSITIVE),
-                _required("--seed"),
-            ),
-            lambda a: geometry.mc_volume(
-                geometry.SliceSpec(d=a.d, scale=a.scale, lower=a.lower, upper=a.upper), a.samples, a.seed
-            ),
-            _volume,
-            ("d", "scale", "lower", "upper"),
-        ),
-        "geometry minkowski": _Leaf(
-            "Minkowski volume polynomial",
-            (_D, _required("--k")),
-            lambda a: geometry.minkowski_poly(a.d, a.k),
-            _coefficients,
-            ("d", "k"),
-        ),
-        "geometry sweep": _Leaf(
-            "Monte Carlo estimates vs exact slab volumes",
-            (_D_MAX, _DILATED_D_MAX, _N_MAX, _SAMPLES, _SEEDS),
-            lambda a: list(verify.mc_pairs(_config(a))),
-            _sweep,
-            ("d_max", "dilated_d_max", "n_max", "samples", "seeds"),
-            _sweep_passes,
-        ),
-        "verify": _Leaf(
-            "run verification suites",
-            (
-                ("--all", {"action": "store_true", "required": True, "help": "run every suite"}),
-                _D_MAX,
-                _N_MAX,
-                _SAMPLES,
-                _BUDGET,
-            ),
-            lambda a: verify.verify_all(_config(a)),
-            _reports,
-            verdict=_all_ok,
-        ),
+        path: declaration()
+        for path, (_, declaration) in _DECLARED.items()
+        if words is None or words.issuperset(path.split())
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every group and leaf, with their help lines.  Flags go
+    to the leaves `_leaves(argv)` builds: every leaf without argv, for
+    --help and for the tests; with it, only those argv can reach."""
+    leaves = _leaves(argv)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     parser = argparse.ArgumentParser(prog="splinecomb", description=_DESCRIPTION)
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for path, leaf in _leaves().items():
+    for path, (help, _) in _DECLARED.items():
         *group, name = path.split()
         subparsers = top
         if group:
@@ -394,16 +495,21 @@ def build_parser() -> argparse.ArgumentParser:
                 node = top.add_parser(group[0], help=_GROUPS[group[0]])
                 groups[group[0]] = node.add_subparsers(dest="subcommand", required=True)
             subparsers = groups[group[0]]
-        p = subparsers.add_parser(name, parents=[common], help=leaf.help)
-        for flag, options in leaf.arguments:
+        if path not in leaves:
+            subparsers.add_parser(name, help=help)
+            continue
+        p = subparsers.add_parser(name, parents=[common], help=help)
+        for flag, options in leaves[path].arguments:
             p.add_argument(flag, **options)
-        p.set_defaults(leaf=leaf)
+        p.set_defaults(leaf=leaves[path])
     return parser
 
 
 def _emit(args, rows: list[tuple], payload: dict) -> None:
     """rows drive the csv rendering, payload the json one; same numbers."""
     if args.format == "json":
+        import json
+
         print(json.dumps(payload))
     else:
         for row in rows:
@@ -431,7 +537,9 @@ def _run(args) -> int:
 
 
 def _main(argv) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     # argparse parses "--flag=--" as an empty list without calling the flag's type.
     if [] in vars(args).values():

@@ -27,9 +27,9 @@ from .numcore import binomial, factorial, format_rational
 class VerifyConfig:
     """Bounds for the verification sweeps.
 
-    At the defaults a full verify_all takes about 0.18 s in-process
-    (medians 0.18, 0.19 and 0.16 s in three sets of seven warm runs,
-    0.15-0.20 s overall, Python 3.11.7 and numpy 2.4.6 on a shared 2-vCPU
+    At the defaults a full verify_all takes about 0.09 s in-process
+    (medians 0.091, 0.133 and 0.090 s in three sets of seven warm runs,
+    0.087-0.137 s overall, Python 3.11.7 and numpy 2.4.6 on a shared 2-vCPU
     Linux host); raise them for deeper sweeps.  mc_samples applies per
     (slice, seed) pair.  Every field is an int (not a bool) through
     errors.check_range, and mc_seeds a tuple of ints: the bounds, the budget

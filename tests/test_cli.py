@@ -658,6 +658,48 @@ def test_numpy_is_imported_only_by_the_counter_and_the_vector_oracle():
     )
 
 
+# Runs `python -m splinecomb` with the given argv, then prints on stderr the
+# splinecomb submodules it loaded, and "json" if it loaded json.
+_MODULES_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("splinecomb", run_name="__main__", alter_sys=True)
+finally:
+    loaded = [m.split(".")[-1] for m in sys.modules if m.startswith("splinecomb.") or m == "json"]
+    print(" ".join(sorted(loaded)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (("bspline", "eval", "--d", "3", "--x", "1"), {"eulerian", "descent", "geometry", "verify"}),
+        (("eulerian", "row", "--d", "3"), {"descent", "geometry", "verify"}),
+        (("descent", "table", "--d", "3", "--n", "2"), {"geometry", "verify"}),
+    ],
+    ids=["bspline eval", "eulerian row", "descent table"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_leaf_loads_only_the_modules_it_runs(argv, unloaded, fmt):
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, *argv, "--format", fmt], capture_output=True, text=True
+    )
+    loaded = set(proc.stderr.split())
+    assert proc.returncode == 0 and proc.stdout, proc.stderr
+    assert {"cli", "splinecore", "polyring"} <= loaded
+    assert loaded & unloaded == set()
+    # json is loaded to print json, and for nothing else.
+    assert ("json" in loaded) == (fmt == "json")
+
+
+def test_importing_the_cli_loads_polyring():
+    # The benchmark's traced CLI child imports splinecomb.cli and then installs
+    # its tracer, which wraps Polynomial from sys.modules["splinecomb.polyring"].
+    code = "import sys, splinecomb.cli; print('splinecomb.polyring' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "True\n"
+
+
 # Runs `python -m splinecomb` with the given argv.  With "fail" first, verify
 # --all instead reports 5000 failures, so its verdict is 1 and its csv fills
 # more than a pipe's buffer.
