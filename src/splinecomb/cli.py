@@ -479,8 +479,9 @@ def _leaves(argv: Sequence[str] | None = None) -> dict[str, _Leaf]:
 
 def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     """The parser of every group and leaf, with their help lines.  Flags go
-    to the leaves `_leaves(argv)` builds: every leaf without argv, for
-    --help and for the tests; with it, only those argv can reach."""
+    to the leaves `_leaves(argv)` builds: without argv every leaf, the whole
+    parser the tests read; with it only those argv can reach, which is all
+    that argv's run, --help or usage error reads."""
     leaves = _leaves(argv)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
