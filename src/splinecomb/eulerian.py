@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations, product
+from itertools import permutations, product
 from operator import mul
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, NonIntegerResult, check_budget, check_range
@@ -50,9 +50,12 @@ class RefinedTriangle:
 # objects for `eulerian row --d 7`, about 5 ms) do not pay numpy's import
 # (about 0.1 s).  Once numpy is loaded, every enumeration is counted by it.
 _VECTOR_FLOOR = 2**16
-# At most this many (permutation, index vector) pairs per numpy chunk;
-# larger chunks were no faster and raised the peak memory.
-_CHUNK_PAIRS = 2**12
+# At most this many (permutation, index vector) pairs per numpy chunk.
+# Fewer, larger chunks amortise numpy's per-call cost: at 2^14, against
+# 2^12, the n > 1 grids ran about a third faster and S_9's 5040-wide blocks
+# fit whole; 2^15 gained little more and took the peak memory of the
+# (2, 1200) grid past 1 MiB.
+_CHUNK_PAIRS = 2**14
 
 
 def _descents(letters, indices) -> int:
@@ -81,8 +84,11 @@ def _descents_array(letters, indices):
     numpy arrays holding position i of every object; past axis 0 the two
     broadcast against each other."""
     before, after = indices[:-1], indices[1:]
-    falls = (before > after) | ((before == after) & (letters[:-1] > letters[1:]))
-    return falls.sum(axis=0) + (indices[-1] > 0)
+    # The booleans are combined as uint8: numpy's bool & and | run many
+    # times slower when one side is broadcast, as it is here.
+    drops, ties = (before > after).view("uint8"), (before == after).view("uint8")
+    falls = drops | (ties & (letters[:-1] > letters[1:]).view("uint8"))
+    return falls.sum(axis=0, dtype="uint8") + (indices[-1] > 0)
 
 
 def _descent_grid(d: int, n: int, budget: int, what: str) -> list[list[int]]:
@@ -119,20 +125,32 @@ def _permutation_blocks(d: int):
 
     Position first: column p of a block is one permutation.  Each block
     fixes one ordered prefix of d - s letters, s = min(d, 7), and fills the
-    last s positions with the remaining letters in sorted order, indexed
-    by one table of S_s built per call (7! = 5040 columns, 35 KB).
+    last s positions from one table of S_s (7! = 5040 columns, 35 KB),
+    built per call in numpy from no Python-level permutations.  One move
+    builds both: a letter placed at a position moves every letter after
+    it that is not below it up by one.  Column r of the table starts as
+    the Lehmer code of rank r and becomes permutation r by that move at
+    each position, right to left.  A block copies the table and makes the
+    move once per prefix letter, smallest first, so that its last s
+    positions hold the letters the prefix leaves, in the table's order.
     """
     import numpy as np
 
     s = min(d, 7)
-    table = np.fromiter(chain.from_iterable(permutations(range(s))), np.int8, s * math.factorial(s))
-    table = table.reshape(-1, s).T
-    letters = range(1, d + 1)
-    for prefix in permutations(letters, d - s):
-        remaining = np.array([m for m in letters if m not in prefix], np.int8)
+    # Digit i of a Lehmer code, below s - i, counts the later letters below
+    # letter i.
+    table = np.indices(range(s, 0, -1), np.int8).reshape(s, -1)
+    for i in range(s - 2, -1, -1):
+        later = table[i + 1 :]
+        later += later >= table[i]
+    table += 1
+    for prefix in permutations(range(1, d + 1), d - s):
         block = np.empty((d, table.shape[1]), np.int8)
         block[: d - s] = np.array(prefix, np.int8)[:, None]
-        block[d - s :] = remaining[table]
+        tail = block[d - s :]
+        tail[:] = table
+        for letter in sorted(prefix):
+            tail += tail >= letter
         yield block
 
 
@@ -155,16 +173,20 @@ def _descent_grid_vector(d: int, n: int) -> list[list[int]]:
     places = n ** np.arange(d - 1, -1, -1)[:, None]
     counts = np.zeros(d * (d + 1), dtype=np.int64)
     for perms in _permutation_blocks(d):
+        # Each permutation's key offset, as intp, so that adding the uint8
+        # descent counts gives bincount its index type.
+        rows = np.multiply(perms[-1] - 1, d + 1, dtype=np.intp)
         for start in range(0, vectors_total, block):
             # Position first: vectors[i, 0, e] is position i of index vector
             # e, digit i of e in base n, most significant first;
             # letters[i, p, 0] is position i of permutation p.
-            vectors = np.arange(start, min(start + block, vectors_total)) // places % n
+            vectors = np.arange(start, min(start + block, vectors_total)) // places
+            vectors %= n  # in place: one int64 array fewer at the peak
             vectors = vectors.astype(np.min_scalar_type(n - 1))[:, None, :]
             for first in range(0, perms.shape[1], step):
                 letters = perms[:, first : first + step, None]
-                keys = (letters[-1].astype(np.int64) - 1) * (d + 1) + _descents_array(letters, vectors)
-                counts += np.bincount(keys.ravel(), minlength=d * (d + 1))
+                keys = rows[first : first + step, None] + _descents_array(letters, vectors)
+                counts += np.bincount(keys.ravel(), minlength=counts.size)
     return counts.reshape(d, d + 1).tolist()
 
 

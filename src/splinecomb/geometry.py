@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
-from . import descent
 from .errors import check_range, check_rational
 from .numcore import factorial
 from .polyring import Polynomial, interpolate
@@ -256,6 +255,10 @@ def minkowski_poly(d: int, k: int) -> Polynomial:
     lam+1, k); degree is at most d and coefficient j is C(d, j) times the
     refined Eulerian number AR(d+1, k, d+1-j).
     """
+    # Imported here, so that `geometry mc` does not load descent and
+    # eulerian; the attribute lookup keeps a rebound descent_spline seen.
+    from . import descent
+
     check_range("dimension", d, 1)
     check_range("slice index k", k, 0, d)
     return interpolate([descent.descent_spline(d, lam + 1, k) for lam in range(d + 1)])

@@ -676,8 +676,12 @@ finally:
         (("bspline", "eval", "--d", "3", "--x", "1"), {"eulerian", "descent", "geometry", "verify"}),
         (("eulerian", "row", "--d", "3"), {"descent", "geometry", "verify"}),
         (("descent", "table", "--d", "3", "--n", "2"), {"geometry", "verify"}),
+        (
+            ("geometry", "mc", "--d", "2", "--scale", "2", "--lower", "1", "--upper", "3", "--samples", "500", "--seed", "7"),
+            {"descent", "eulerian", "verify"},
+        ),
     ],
-    ids=["bspline eval", "eulerian row", "descent table"],
+    ids=["bspline eval", "eulerian row", "descent table", "geometry mc"],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_leaf_loads_only_the_modules_it_runs(argv, unloaded, fmt):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinecomb import eulerian
-from splinecomb.descent import descent_table, indexed_bruteforce
+from splinecomb.descent import descent_recurrence_table, descent_table, indexed_bruteforce
 from splinecomb.errors import TooLarge
 from splinecomb.eulerian import (
     eulerian_bruteforce,
@@ -116,6 +116,43 @@ def test_vector_grid_at_ten_matches_the_formula_routes():
     assert eulerian._descent_marginal(grid) == [eulerian_spline(10, k) for k in range(1, 12)]
     refined = refined_triangle(9, "explicit")
     assert [[grid[9 - j][k] for j in range(10)] for k in range(10)] == [list(row) for row in refined.values]
+
+
+def spans_chunks(d, n):
+    # Several chunks, the last one partial.
+    objects = n**d * math.factorial(d)
+    return objects > 2 * eulerian._CHUNK_PAIRS and objects % eulerian._CHUNK_PAIRS != 0
+
+
+def test_vector_grid_over_many_chunks_matches_the_formula_routes():
+    assert spans_chunks(9, 1)
+    grid = eulerian._descent_grid_vector(9, 1)
+    assert eulerian._descent_marginal(grid) == [*eulerian_row_spline(9).values, 0]
+    refined = refined_triangle(8, "explicit")
+    assert [[grid[8 - j][k] for j in range(9)] for k in range(9)] == [list(row) for row in refined.values]
+
+
+@pytest.mark.parametrize("d, n", [(7, 2), (6, 3), (5, 4), (2, 1200)])
+def test_vector_marginal_over_many_chunks_matches_the_recurrence(d, n):
+    assert spans_chunks(d, n)
+    marginal = eulerian._descent_marginal(eulerian._descent_grid_vector(d, n))
+    assert marginal == list(descent_recurrence_table(d, n).values)
+
+
+@pytest.mark.parametrize("d, n", [(9, 1), (7, 2), (6, 3), (1, 70000)])
+def test_vector_grid_applies_the_rule_to_every_object(rebind, d, n):
+    # The oracle is an enumeration: every object's descents come from the rule.
+    rule = eulerian._descents_array
+    ruled = []
+
+    def counted(letters, indices):
+        descents = rule(letters, indices)
+        ruled.append(descents.size)
+        return descents
+
+    rebind(rule, counted)
+    eulerian._descent_grid_vector(d, n)
+    assert sum(ruled) == n**d * math.factorial(d)
 
 
 @pytest.mark.parametrize("d, n", [(9, 1), (10, 1), (7, 2), (6, 3), (6, 4), (1, 3 * 10**6), (2, 1200)])
