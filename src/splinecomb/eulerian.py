@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from operator import mul
 
-from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, NonIntegerResult, check_budget, check_range
+from .errors import DEFAULT_ENUMERATION_BUDGET, NegativeResult, NonIntegerResult, TooLarge, check_budget, check_range
 from .numcore import binomial, factorial
 from .polyring import Polynomial
 from .splinecore import bspline_eval_explicit
@@ -56,6 +56,9 @@ _VECTOR_FLOOR = 2**16
 # fit whole; 2^15 gained little more and took the peak memory of the
 # (2, 1200) grid past 1 MiB.
 _CHUNK_PAIRS = 2**14
+# The numpy path ranks index vectors in int64, and an enumeration of more
+# vectors than this could never finish anyway, so it is refused.
+_MAX_VECTORS = 2**63 - 1
 
 
 def _descents(letters, indices) -> int:
@@ -101,8 +104,11 @@ def _descent_grid(d: int, n: int, budget: int, what: str) -> list[list[int]]:
     counts the objects; below the floor in a process without numpy,
     `_descent_grid_scalar` calls `_descents` once per object.
     """
-    objects = n**d * math.factorial(d)
+    vectors = n**d
+    objects = vectors * math.factorial(d)
     check_budget(objects, budget, what)
+    if vectors > _MAX_VECTORS:
+        raise TooLarge(f"enumeration of {n}^{d} index vectors exceeds the int64 rank limit 2^63 - 1")
     if objects >= _VECTOR_FLOOR or "numpy" in sys.modules:
         return _descent_grid_vector(d, n)
     return _descent_grid_scalar(d, n)

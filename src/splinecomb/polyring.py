@@ -4,10 +4,13 @@ Coefficients are stored ascending: index i holds the coefficient of the
 i-th power of the indeterminate.  The representation is canonical (no
 trailing zeros; the zero polynomial is the empty tuple; an integral
 coefficient is a plain int, any other a Fraction), so structural equality
-is mathematical equality.  Integral coefficients stay ints because the
-expansions behind lambda extraction and Minkowski interpolation are
-mostly integral, and int arithmetic skips the gcd normalisation every
-Fraction operation pays.
+is mathematical equality.  `Polynomial` is a frozen, slotted dataclass over
+`coeffs`: equality, hash, immutability, copies, pickles and the repr
+`Polynomial(coeffs=(1, Fraction(1, 2)))` come from the dataclass, and only
+the normalizing `__init__` is its own.  Integral coefficients stay ints
+because the expansions behind lambda extraction and Minkowski
+interpolation are mostly integral, and int arithmetic skips the gcd
+normalisation every Fraction operation pays.
 
 Products and powers run in one integer kernel, by Kronecker substitution:
 scale the coefficients to ints over their least common denominator, pack
@@ -26,6 +29,7 @@ a Fraction (`errors.check_rational`), so no float or string gets in.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -95,18 +99,20 @@ def _unpack(packed: int, w: int, n: int) -> list[int]:
     return digits
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Polynomial:
-    """Immutable dense polynomial with exact rational coefficients."""
+    """Immutable dense polynomial with exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    The dataclass gives equality and hash over `coeffs`, refuses assignment
+    with `FrozenInstanceError` (an `AttributeError`), prints the eval-able
+    `Polynomial(coeffs=(1, Fraction(1, 2)))`, and copies and pickles.  Its
+    own `__init__` normalizes any iterable of coefficients.
+    """
 
     coeffs: tuple[int | Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         object.__setattr__(self, "coeffs", _normalize(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @property
     def degree(self) -> int:
@@ -115,14 +121,6 @@ class Polynomial:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -199,21 +197,6 @@ class Polynomial:
     def coefficient_strings(self) -> list[str]:
         """Ascending coefficients in the canonical "p/q" wire format."""
         return [format_rational(c) for c in self.coeffs]
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "Polynomial(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(format_rational(c))
-            elif i == 1:
-                terms.append(f"{format_rational(c)}*t")
-            else:
-                terms.append(f"{format_rational(c)}*t^{i}")
-        return "Polynomial(" + " + ".join(terms) + ")"
 
 
 def interpolate(values: Iterable[Fraction | int]) -> Polynomial:

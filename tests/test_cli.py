@@ -246,6 +246,13 @@ def test_brute_budget_flag(capsys):
         assert "budget" in captured.err and captured.out == "", argv
 
 
+def test_a_brute_enumeration_past_int64_ranks_exits_2_without_a_traceback():
+    argv = ("descent", "table", "--d", "1", "--n", str(2**63), "--route", "brute", "--budget", "9" * 20)
+    proc = subprocess.run([sys.executable, "-m", "splinecomb", *argv], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_only_the_leaves_that_may_enumerate_take_a_budget(capsys):
     leaves = cli._leaves()
     takes_budget = {path for path, leaf in leaves.items() if "--budget" in dict(leaf.arguments)}

@@ -237,6 +237,14 @@ def test_budget_enforcement():
         descent_table(6, 4, "brute", budget=10**5)
 
 
+@pytest.mark.parametrize("d, n, budget", [(1, 2**63, 2**64), (3, 2**21, 2**70), (2, 2**40, 2**90)])
+def test_an_enumeration_past_int64_ranks_is_refused_within_the_budget(d, n, budget):
+    # n^d >= 2^63 index vectors cannot be ranked in int64, nor enumerated
+    # in any time, so a budget that admits them changes nothing.
+    with pytest.raises(TooLarge, match="int64"):
+        indexed_bruteforce(d, n, budget=budget)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         descent_spline(0, 2, 0)

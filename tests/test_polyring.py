@@ -95,6 +95,16 @@ def test_immutability():
         p.coeffs = (Fraction(9),)
 
 
+def test_a_polynomial_stores_its_coefficients_in_a_slot():
+    assert not hasattr(Polynomial([1, 2]), "__dict__")
+
+
+@given(mixed_coeffs_st)
+def test_repr_evaluates_back_to_the_polynomial(cs):
+    p = Polynomial(cs)
+    assert eval(repr(p), {"Polynomial": Polynomial, "Fraction": Fraction}) == p
+
+
 def test_interpolate_examples():
     assert interpolate([1, 2]) == Polynomial([1, 1])
     assert interpolate([Fraction(5, 3)]) == Polynomial([Fraction(5, 3)])

@@ -1,8 +1,13 @@
 """The names `splinecomb` exports, pinned so that every export change is a test diff."""
 
+import copy
+import dataclasses
+import pickle
 import subprocess
 import sys
 import types
+
+from fractions import Fraction
 
 import pytest
 
@@ -82,3 +87,35 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
     code = "import sys, splinecomb; print(sorted(m for m in sys.modules if m.startswith(('splinecomb.', 'numpy'))))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+# One value of each exported value type, built through the public API.
+VALUES = {
+    "Polynomial()": lambda: splinecomb.Polynomial(),
+    "Polynomial(ints)": lambda: splinecomb.Polynomial([1, -3, 0, 2]),
+    "Polynomial(fractions)": lambda: splinecomb.Polynomial([Fraction(1, 2), 0, Fraction(-7, 3)]),
+    "PiecePoly": lambda: splinecomb.bspline_piece(4, 2),
+    "EulerianRow": lambda: splinecomb.eulerian_row_spline(5),
+    "RefinedTriangle": lambda: splinecomb.refined_triangle(3, "explicit"),
+    "DescentTable": lambda: splinecomb.descent_table(3, 2, "spline"),
+    "SliceSpec": lambda: splinecomb.SliceSpec.dilated_slice(3, 2, 1),
+    "VolumeEstimate": lambda: splinecomb.mc_volume(splinecomb.SliceSpec.dilated_slice(2, 2, 1), 100, 7),
+    "VerifyConfig": lambda: splinecomb.VerifyConfig(),
+    "VerifyReport": lambda: splinecomb.VerifyReport("demo", 2, (("case", "1", "2"),)),
+}
+
+
+def test_every_exported_value_type_has_a_round_trip_case():
+    value_types = {name for name in PUBLIC_NAMES if dataclasses.is_dataclass(getattr(splinecomb, name))}
+    assert value_types == {type(build()).__name__ for build in VALUES.values()}
+
+
+@pytest.mark.parametrize("build", VALUES.values(), ids=VALUES.keys())
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_every_value_type_copies_and_pickles(build, round_trip):
+    value = build()
+    assert round_trip(value) == value
