@@ -6,7 +6,6 @@ import pickle
 import subprocess
 import sys
 import types
-
 from fractions import Fraction
 
 import pytest
